@@ -85,16 +85,6 @@ const (
 	CONGESTBC = dist.CongestBC
 )
 
-// SetSubstrateWorkers bounds the number of goroutines the default engine
-// uses inside one substrate build (order augmentation scans, parallel
-// weak-reachability sweeps, cover inversion).  0 restores the default
-// (GOMAXPROCS).  Substrate outputs are bit-identical for every worker
-// count — the knob only trades build latency against CPU share, so it is
-// safe to change at any time.
-func SetSubstrateWorkers(workers int) {
-	defaultEngine().SetSubstrateWorkers(workers)
-}
-
 // NewGraph returns an empty graph on n vertices.
 func NewGraph(n int) *Graph { return graph.New(n) }
 

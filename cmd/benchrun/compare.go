@@ -41,13 +41,13 @@ func compareSnapshots(basePath, candPath string, threshold float64, w io.Writer)
 	// Name the differing tier explicitly before the generic config dump: a
 	// quick-vs-large mixup is the common operator error and "tier" is the
 	// word the CLI flags use.
-	if base.Tier != cand.Tier || base.Quick != cand.Quick {
+	if base.Tier != cand.Tier {
 		return fmt.Errorf("workload mismatch: baseline %s ran tier %q but candidate %s ran tier %q — rerun both with the same -tier",
-			basePath, tierLabel(base), candPath, tierLabel(cand))
+			basePath, base.Tier, candPath, cand.Tier)
 	}
 	if !reflect.DeepEqual(base.Config, cand.Config) {
 		return fmt.Errorf("workload mismatch: both ran tier %q but configs differ: baseline %+v vs candidate %+v — rows cannot be aligned",
-			tierLabel(base), base.Config, cand.Config)
+			base.Tier, base.Config, cand.Config)
 	}
 
 	baseTables := make(map[string]*exp.Table, len(base.Tables))
@@ -116,18 +116,6 @@ func compareSnapshots(basePath, candPath string, threshold float64, w io.Writer)
 	}
 	fmt.Fprintf(w, "OK: %d numeric cells within %.0f%% of %s\n", compared, 100*threshold, basePath)
 	return nil
-}
-
-// tierLabel names a snapshot's workload tier, falling back to the legacy
-// quick boolean for schema-2 documents that predate the Tier field.
-func tierLabel(s *snapshot) string {
-	if s.Tier != "" {
-		return s.Tier
-	}
-	if s.Quick {
-		return tierQuick
-	}
-	return tierFull
 }
 
 func header(t *exp.Table, j int) string {

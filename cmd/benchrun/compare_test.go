@@ -28,7 +28,6 @@ func baseSnapshot() snapshot {
 	return snapshot{
 		Schema: snapshotSchema,
 		Tier:   tierQuick,
-		Quick:  true,
 		Config: exp.QuickConfig(),
 		Tables: []*exp.Table{
 			{
@@ -138,7 +137,7 @@ func TestCompareStructuralChanges(t *testing.T) {
 	}
 	// A workload mismatch cannot be row-aligned.
 	cand = baseSnapshot()
-	cand.Quick = false
+	cand.Tier = tierFull
 	if _, err := compare(t, baseSnapshot(), cand, 0.30); err == nil || !strings.Contains(err.Error(), "workload") {
 		t.Fatalf("workload mismatch not fatal: %v", err)
 	}
@@ -150,7 +149,6 @@ func TestCompareStructuralChanges(t *testing.T) {
 func TestCompareTierMismatchNamesTiers(t *testing.T) {
 	cand := baseSnapshot()
 	cand.Tier = tierLarge
-	cand.Quick = false
 	_, err := compare(t, baseSnapshot(), cand, 0.30)
 	if err == nil {
 		t.Fatal("tier mismatch passed")
@@ -158,20 +156,6 @@ func TestCompareTierMismatchNamesTiers(t *testing.T) {
 	for _, want := range []string{"tier", `"quick"`, `"large"`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("tier-mismatch error missing %q: %v", want, err)
-		}
-	}
-
-	// Legacy documents without a Tier field fall back to the quick boolean.
-	legacyFull := baseSnapshot()
-	legacyFull.Tier = ""
-	legacyFull.Quick = false
-	_, err = compare(t, baseSnapshot(), legacyFull, 0.30)
-	if err == nil {
-		t.Fatal("legacy tier mismatch passed")
-	}
-	for _, want := range []string{`"quick"`, `"full"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("legacy tier-mismatch error missing %q: %v", want, err)
 		}
 	}
 

@@ -6,7 +6,6 @@
 //	benchrun                    # full suite, plain-text tables
 //	benchrun -tier quick        # reduced workload (seconds instead of minutes)
 //	benchrun -tier large        # scale tier: million-vertex instances (L1)
-//	benchrun -quick             # alias for -tier quick
 //	benchrun -markdown          # markdown tables (used to update EXPERIMENTS.md)
 //	benchrun -json              # one JSON document (perf-trajectory snapshots)
 //	benchrun -exp E3,E7         # selected experiments only
@@ -38,7 +37,7 @@ import (
 // snapshotSchema versions the -json document; bump it whenever the snapshot
 // layout changes so downstream consumers (the CI perf gate, jq assertions)
 // can key off it instead of guessing from field shapes.  Schema 3 added the
-// workload tier (quick | full | large) alongside the legacy quick boolean.
+// workload tier (quick | full | large).
 const snapshotSchema = 3
 
 // snapshot is the JSON document emitted by -json: enough provenance to
@@ -51,9 +50,7 @@ type snapshot struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	// Tier is the workload tier the snapshot was produced with; snapshots
 	// from different tiers are never comparable.
-	Tier string `json:"tier"`
-	// Quick mirrors Tier == "quick" for older tooling.
-	Quick  bool         `json:"quick"`
+	Tier   string       `json:"tier"`
 	Config exp.Config   `json:"config"`
 	Tables []*exp.Table `json:"tables"`
 }
@@ -68,8 +65,7 @@ const (
 
 func main() {
 	var (
-		tier      = flag.String("tier", "", "workload tier: quick, full or large (default full)")
-		quick     = flag.Bool("quick", false, "alias for -tier quick")
+		tier      = flag.String("tier", tierFull, "workload tier: quick, full or large")
 		markdown  = flag.Bool("markdown", false, "emit markdown tables")
 		jsonOut   = flag.Bool("json", false, "emit one JSON document with all tables")
 		only      = flag.String("exp", "", "comma-separated experiment ids to run (default: all)")
@@ -98,16 +94,7 @@ func main() {
 	}
 
 	switch *tier {
-	case "":
-		*tier = tierFull
-		if *quick {
-			*tier = tierQuick
-		}
 	case tierQuick, tierFull, tierLarge:
-		if *quick && *tier != tierQuick {
-			fmt.Fprintf(os.Stderr, "benchrun: -quick contradicts -tier %s\n", *tier)
-			os.Exit(2)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "benchrun: unknown tier %q (want quick, full or large)\n", *tier)
 		os.Exit(2)
@@ -174,7 +161,6 @@ func main() {
 			GoVersion:   runtime.Version(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Tier:        *tier,
-			Quick:       *tier == tierQuick,
 			Config:      cfg,
 			Tables:      tables,
 		}); err != nil {

@@ -195,6 +195,11 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad kind: %d", resp.StatusCode)
 	}
+	// The greedy baseline is a solver (kind domset, solver greedy), not a kind.
+	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "greedy", "r": 1}, &e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "unknown kind") {
+		t.Fatalf("greedy kind: %d %+v", resp.StatusCode, e)
+	}
 	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 0}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad radius: %d", resp.StatusCode)

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bedom/internal/obs"
 )
@@ -23,20 +22,18 @@ const (
 	kindDomset                      // a solver.Result for radius A, solver S
 )
 
-func (k substrateKind) String() string {
-	switch k {
-	case kindOrder:
-		return "order"
-	case kindWReach:
-		return "wreach"
-	case kindCover:
-		return "cover"
-	case kindDomset:
-		return "domset"
-	default:
-		return "substrate(?)"
-	}
+// kindNames holds each kind's name, its span name (a constant, so a cache
+// hit builds no string) and its bedom_substrate_build_seconds stage label.
+var kindNames = [...]struct{ name, span, stage string }{
+	kindOrder:  {"order", "substrate:order", "order"},
+	kindWReach: {"wreach", "substrate:wreach", "wreach"},
+	kindCover:  {"cover", "substrate:cover", "cover"},
+	kindDomset: {"domset", "substrate:domset", "solve"},
 }
+
+func (k substrateKind) String() string { return kindNames[k].name }
+func (k substrateKind) span() string   { return kindNames[k].span }
+func (k substrateKind) stage() string  { return kindNames[k].stage }
 
 // substrateKey identifies one cached substrate: a graph generation (graphs
 // get a fresh generation on every (re-)registration and on mutation), the
@@ -49,6 +46,15 @@ type substrateKey struct {
 	kind   substrateKind
 	a, b   int
 	solver string
+}
+
+// hook is the stage-hook name fired when the key's build starts:
+// "solve:<strategy>" for domination results, the span name otherwise.
+func (k substrateKey) hook() string {
+	if k.kind == kindDomset {
+		return "solve:" + k.solver
+	}
+	return k.kind.span()
 }
 
 // substrateCache is an LRU-bounded cache with single-flight deduplication:
@@ -70,26 +76,10 @@ type substrateCache struct {
 	// in the engine's metrics registry so Stats and /metrics read the same
 	// atomics).
 	stats *statsCollector
-	// buildNanos totals exclusive build time.  Builders report their own
-	// leaf work via timedBuild so that a build nested inside another (the
-	// order build underneath a wcol or cover build) is counted once.
+	// buildNanos totals exclusive build time (see Engine.fetch): a build
+	// nested inside another (the order underneath a WReach or cover build)
+	// is counted once.
 	buildNanos atomic.Int64
-}
-
-// timedBuild runs f, adds its duration to the exclusive build-time total and
-// records it in the per-stage build histogram.
-func (c *substrateCache) timedBuild(stage string, f func() any) any {
-	start := time.Now()
-	v := f()
-	c.addBuildTime(stage, time.Since(start))
-	return v
-}
-
-// addBuildTime accounts d as exclusive build time of the given stage (used
-// directly by builds that must subtract nested fetch time; see domsetFor).
-func (c *substrateCache) addBuildTime(stage string, d time.Duration) {
-	c.buildNanos.Add(int64(d))
-	c.stats.buildSeconds.With(stage).ObserveDuration(d)
 }
 
 type cacheEntry struct {

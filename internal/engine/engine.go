@@ -83,11 +83,6 @@ type Config struct {
 	// DefaultTimeout applies to queries that set no per-request timeout
 	// (0 = no timeout).
 	DefaultTimeout time.Duration
-	// SubstrateWorkers bounds the goroutines used inside one substrate build
-	// (order augmentation scans, weak-reachability sweeps, cover inversion).
-	// 0 = GOMAXPROCS.  Substrate outputs are bit-identical for every value;
-	// the knob only trades build latency against CPU share.
-	SubstrateWorkers int
 	// MaxConcurrentRebuilds bounds the number of substrate rebuild chains
 	// that may run at once (an admission guard: a mutation storm invalidates
 	// many substrates, and without the bound every queued query would start
@@ -254,15 +249,11 @@ type Engine struct {
 	exec  *executor
 	stats *statsCollector
 
-	// substrateWorkers is the live value of Config.SubstrateWorkers
-	// (adjustable at runtime via SetSubstrateWorkers).
-	substrateWorkers atomic.Int32
-
 	// rebuildSem is the admission guard bounding concurrent substrate
 	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
 	// top-level cache misses acquire a slot; builds nested inside an
-	// admitted build (the order underneath a wcol or cover) run on their
-	// parent's slot, marked by admittedCtx.
+	// admitted build (the order underneath a WReach or cover build) run on
+	// their parent's slot, marked by a build context (see fetch).
 	rebuildSem chan struct{}
 
 	// distRuns retains recent distributed-run round profiles (nil when
@@ -295,15 +286,6 @@ type Engine struct {
 	replayed      int
 	replaySkipped int
 }
-
-// admittedKey marks a context as belonging to a substrate build that
-// already holds a rebuild-admission slot.
-type admittedKey struct{}
-
-// admittedCtx is the detached context nested substrate fetches run under: no
-// deadline (a shared build must not inherit one requester's timeout) and
-// exempt from rebuild admission (the parent build holds the slot).
-var admittedCtx = context.WithValue(context.Background(), admittedKey{}, true)
 
 // acquireRebuild takes a rebuild-admission slot, blocking until one frees or
 // ctx expires.  The returned release function must be called exactly once.
@@ -354,7 +336,6 @@ func New(cfg Config) *Engine {
 		anon:       make(map[weak.Pointer[graph.Graph]]anonHandle),
 		distRuns:   newDistRunLog(cfg.DistRunLog),
 	}
-	e.substrateWorkers.Store(int32(cfg.SubstrateWorkers))
 	// Scrape-time gauges.  The closures keep the engine reachable for the
 	// registry's lifetime, which is why sharing a registry across engines is
 	// documented out (the last registrant would win anyway).
@@ -442,19 +423,6 @@ func (e *Engine) Health() (state, reason string) {
 		return HealthOverloaded, "admission queue full"
 	}
 	return HealthOK, ""
-}
-
-// SetSubstrateWorkers adjusts the per-build worker bound at runtime (0 =
-// GOMAXPROCS).  Safe for concurrent use; it affects builds that start after
-// the call.  Substrate outputs are identical for every worker count, so the
-// cache stays valid across changes.
-func (e *Engine) SetSubstrateWorkers(workers int) {
-	e.substrateWorkers.Store(int32(workers))
-}
-
-// substrateWorkerCount resolves the current per-build worker bound.
-func (e *Engine) substrateWorkerCount() int {
-	return int(e.substrateWorkers.Load())
 }
 
 // Close shuts the query executor down and releases the substrate cache,
@@ -734,18 +702,58 @@ func (e *Engine) handleFor(g *graph.Graph) uint64 {
 
 // --- Substrate accessors --------------------------------------------------
 
+// buildFrame is the state of one running substrate build: the wall time it
+// spent inside nested fetches, which fetch subtracts so that every build
+// records only its exclusive time.  A build and its nested fetches run on
+// one goroutine.
+type buildFrame struct{ nested time.Duration }
+
+// buildKey carries a build context's *buildFrame.  Its presence also marks
+// the context as admitted: the build holds a rebuild-admission slot, and its
+// nested fetches run on that slot.
+type buildKey struct{}
+
+// fetch serves one cached substrate.  It opens the key's span and joins,
+// admits and single-flights through getSubstrate.  On a miss it fires the
+// stage hook, then runs build and records build's elapsed time minus its
+// nested fetches as exclusive build time.  build runs under a fresh build
+// context, detached from the requester: a build is shared work, and if it
+// adopted one requester's deadline, that requester's timeout would become
+// the build's error for every coalesced waiter.
+func (e *Engine) fetch(ctx context.Context, key substrateKey, build func(ctx context.Context) (any, error)) (any, bool, error) {
+	_, sp := obs.Start(ctx, key.kind.span())
+	defer sp.End()
+	if parent, ok := ctx.Value(buildKey{}).(*buildFrame); ok {
+		start := time.Now()
+		defer func() { parent.nested += time.Since(start) }()
+	}
+	return e.getSubstrate(ctx, key, func() (any, error) {
+		e.stage(key.hook())
+		frame := &buildFrame{}
+		start := time.Now()
+		v, err := build(context.WithValue(context.Background(), buildKey{}, frame))
+		if err != nil {
+			return nil, err
+		}
+		d := time.Since(start) - frame.nested
+		e.cache.buildNanos.Add(int64(d))
+		e.stats.buildSeconds.With(key.kind.stage()).ObserveDuration(d)
+		return v, nil
+	})
+}
+
 // getSubstrate wraps the cache with the rebuild admission guard.  Warm keys
 // and waiters coalescing onto an in-flight build are served via join and
 // never occupy a slot; only a caller about to build takes one — unless ctx
-// already belongs to an admitted build chain (nested fetches run on their
-// parent's slot).  Every in-flight build's goroutine therefore holds a slot
-// or rides a holder's, and never waits to acquire a second one, which keeps
-// the guard deadlock-free at any capacity.  (Two callers racing past join
-// for the same cold key may briefly hold a slot each while one of them
-// coalesces inside getOrBuild — bounded by the race width, not by the
-// number of queued queries.)
+// is a build context (nested fetches run on their parent's slot).  Every
+// in-flight build's goroutine therefore holds a slot or rides a holder's,
+// and never waits to acquire a second one, which keeps the guard
+// deadlock-free at any capacity.  (Two callers racing past join for the
+// same cold key may briefly hold a slot each while one of them coalesces
+// inside getOrBuild — bounded by the race width, not by the number of
+// queued queries.)
 func (e *Engine) getSubstrate(ctx context.Context, key substrateKey, build func() (any, error)) (any, bool, error) {
-	if ctx.Value(admittedKey{}) == nil {
+	if ctx.Value(buildKey{}) == nil {
 		if v, handled, hit, err := e.cache.join(ctx, key); handled {
 			return v, hit, err
 		}
@@ -766,57 +774,26 @@ func (e *Engine) OrderFor(g *graph.Graph, r int) (*order.Order, bool, error) {
 }
 
 func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int) (*order.Order, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:order")
-	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func() (any, error) {
-		e.stage("substrate:order")
-		workers := e.substrateWorkerCount()
-		return e.cache.timedBuild("order", func() any {
-			opts := order.DefaultOptions(r)
-			opts.Workers = workers
-			return order.Construct(g, opts).Order
-		}), nil
+	v, hit, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func(context.Context) (any, error) {
+		return order.ConstructDefault(g, r), nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*order.Order), hit, nil
+	o, _ := v.(*order.Order)
+	return o, hit, err
 }
 
 // wreachFor returns the (cached) weak s-reachability sets of the order for
 // radius orderR — the substrate behind both wcol measurements and covers.
-// Building it reuses (or builds) the cached order.  The nested fetch runs
-// under admittedCtx, detached from the requester's context: a build is
-// shared work — if it adopted one requester's deadline, that requester's
-// timeout would be recorded as the build's error and handed to every
-// coalesced waiter.
+// Building it reuses (or builds) the cached order.
 func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:wreach")
-	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
-		e.stage("substrate:wreach")
-		o, _, err := e.orderFor(admittedCtx, g, gen, orderR)
+	v, hit, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func(ctx context.Context) (any, error) {
+		o, _, err := e.orderFor(ctx, g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}
-		workers := e.substrateWorkerCount()
-		return e.cache.timedBuild("wreach", func() any { return order.WReachSetsWorkers(g, o, s, workers) }), nil
+		return order.WReachSets(g, o, s), nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.([][]int), hit, nil
-}
-
-// wcolFor returns the measured wcol_s of the order for radius orderR,
-// folding it from the cached weak-reachability sets (an O(n) length scan —
-// not worth a cache slot of its own).
-func (e *Engine) wcolFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (int, bool, error) {
-	sets, hit, err := e.wreachFor(ctx, g, gen, orderR, s)
-	if err != nil {
-		return 0, hit, err
-	}
-	return order.WColOfSets(sets), hit, nil
+	sets, _ := v.([][]int)
+	return sets, hit, err
 }
 
 // Model re-exports dist.Model so that callers of the engine's Request do not

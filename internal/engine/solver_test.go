@@ -32,6 +32,9 @@ func TestMixedSolverNoCrossContamination(t *testing.T) {
 		if !domset.Check(e.mustLookup(t, "g"), resp.Set, 2) {
 			t.Fatalf("%s: invalid dominating set", name)
 		}
+		if name == "greedy" && !resp.CacheHit {
+			t.Fatal("greedy needs no substrates; its cold query must report CacheHit")
+		}
 		cold[name] = resp
 	}
 	// The strategies are genuinely different pipelines on this instance; if
@@ -126,13 +129,10 @@ func TestSolverValidation(t *testing.T) {
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 1, Solver: "kubsv"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("cover with non-paper solver: %v", err)
 	}
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1, Solver: "paper"}); !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("greedy kind with conflicting solver: %v", err)
+	if _, err := e.Do(context.Background(), Request{G: g, Kind: "greedy", R: 1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("the removed greedy kind must be unknown: %v", err)
 	}
 	// Compatible spellings succeed.
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1, Solver: "greedy"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 1, Solver: "paper"}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,33 +142,5 @@ func TestSolverValidation(t *testing.T) {
 	}
 	if resp.Solver != "kubsv" || resp.Rounds != 7 {
 		t.Fatalf("kubsv dist response %+v, want 7 rounds", resp)
-	}
-}
-
-// TestGreedyKindAliasesGreedySolver pins the compatibility contract: the
-// legacy greedy kind routes through the registered greedy strategy (now with
-// result caching) and returns exactly domset.Greedy.
-func TestGreedyKindAliasesGreedySolver(t *testing.T) {
-	e := testEngine(t, Config{})
-	g := gen.Grid(10, 10)
-	resp, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Solver != "greedy" {
-		t.Fatalf("greedy kind served by %q", resp.Solver)
-	}
-	if !resp.CacheHit {
-		t.Fatal("greedy needs no substrates; its cold query must report CacheHit")
-	}
-	if !equalInts(resp.Set, domset.Greedy(g, 1)) {
-		t.Fatal("greedy kind diverges from domset.Greedy")
-	}
-	via, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1, Solver: "greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(via.Set, resp.Set) {
-		t.Fatal("solver=greedy on the domset kind diverges from the greedy kind")
 	}
 }

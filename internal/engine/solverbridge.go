@@ -2,58 +2,37 @@ package engine
 
 import (
 	"context"
-	"time"
 
 	"bedom/internal/graph"
-	"bedom/internal/obs"
 	"bedom/internal/order"
 	"bedom/internal/solver"
 )
 
 // engineSubstrate adapts the engine's cached substrate accessors to the
-// solver.Substrate interface.  Fetches run under admittedCtx — a solver runs
-// inside an admitted result build, so nested substrate builds ride the
-// parent's rebuild slot and must not inherit one requester's deadline (see
-// wreachFor).  The adapter tracks whether every fetch was a cache hit (the
-// query's CacheHit report) and the time spent inside fetches, so domsetFor
-// can account the solver's own compute without double-counting nested
-// builds.
+// solver.Substrate interface.  It fetches under ctx, the build context of
+// the result build it serves, and ignores the context a solver passes: ctx
+// is admitted (nested builds ride the parent's rebuild slot and inherit no
+// requester deadline) and carries the frame that keeps the solve's build
+// time exclusive.  allHit tracks whether every fetch was a cache hit (the
+// query's CacheHit report).
 type engineSubstrate struct {
+	ctx    context.Context
 	e      *Engine
 	g      *graph.Graph
 	gen    uint64
 	allHit bool
-	nested time.Duration
 }
 
 func (s *engineSubstrate) Order(_ context.Context, r int) (*order.Order, error) {
-	start := time.Now()
-	o, hit, err := s.e.orderFor(admittedCtx, s.g, s.gen, r)
-	s.nested += time.Since(start)
-	if !hit {
-		s.allHit = false
-	}
+	o, hit, err := s.e.orderFor(s.ctx, s.g, s.gen, r)
+	s.allHit = s.allHit && hit
 	return o, err
 }
 
 func (s *engineSubstrate) WReach(_ context.Context, orderR, r int) ([][]int, error) {
-	start := time.Now()
-	sets, hit, err := s.e.wreachFor(admittedCtx, s.g, s.gen, orderR, r)
-	s.nested += time.Since(start)
-	if !hit {
-		s.allHit = false
-	}
+	sets, hit, err := s.e.wreachFor(s.ctx, s.g, s.gen, orderR, r)
+	s.allHit = s.allHit && hit
 	return sets, err
-}
-
-func (s *engineSubstrate) Wcol(_ context.Context, orderR, r int) (int, error) {
-	start := time.Now()
-	wcol, hit, err := s.e.wcolFor(admittedCtx, s.g, s.gen, orderR, r)
-	s.nested += time.Since(start)
-	if !hit {
-		s.allHit = false
-	}
-	return wcol, err
 }
 
 // domsetFor returns the (cached) domination result of the given solver
@@ -65,26 +44,17 @@ func (s *engineSubstrate) Wcol(_ context.Context, orderR, r int) (int, error) {
 // result (or, on a result miss, every substrate the solver fetched) was
 // served from the cache.
 func (e *Engine) domsetFor(ctx context.Context, g *graph.Graph, gen uint64, r int, s solver.Solver) (solver.Result, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:domset")
-	defer sp.End()
 	key := substrateKey{gen: gen, kind: kindDomset, a: r, solver: s.Name()}
 	var warm bool
-	v, hit, err := e.getSubstrate(ctx, key, func() (any, error) {
-		e.stage("solve:" + s.Name())
-		sub := &engineSubstrate{e: e, g: g, gen: gen, allHit: true}
-		start := time.Now()
-		res, err := s.Solve(admittedCtx, g, r, sub)
+	v, hit, err := e.fetch(ctx, key, func(ctx context.Context) (any, error) {
+		sub := &engineSubstrate{ctx: ctx, e: e, g: g, gen: gen, allHit: true}
+		res, err := s.Solve(ctx, g, r, sub)
 		if err != nil {
 			return nil, err
 		}
-		// Exclusive build time: nested substrate fetches account themselves
-		// via timedBuild, so only the solver's own compute is added here.
-		e.cache.addBuildTime("solve", time.Since(start)-sub.nested)
 		warm = sub.allHit
 		return res, nil
 	})
-	if err != nil {
-		return solver.Result{}, hit, err
-	}
-	return v.(solver.Result), hit || warm, nil
+	res, _ := v.(solver.Result)
+	return res, hit || warm, err
 }

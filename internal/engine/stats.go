@@ -38,8 +38,8 @@ type statsCollector struct {
 	cacheEvictions *obs.Counter
 	rebuildWaits   *obs.Counter
 	// buildSeconds breaks substrate construction down by stage (order,
-	// wreach, cover, solve); each build site reports its exclusive leaf work
-	// (see substrateCache.timedBuild), so stage sums add up to BuildMSTotal.
+	// wreach, cover, solve); each build reports its exclusive time (see
+	// Engine.fetch), so stage sums add up to BuildMSTotal.
 	buildSeconds *obs.HistogramVec
 
 	mutations     *obs.Counter
@@ -96,8 +96,8 @@ type KindCount struct {
 }
 
 // SolverCount is the number of solver-dispatched queries served for one
-// strategy (domset / greedy / dist-domset kinds; other kinds are pinned to
-// the paper pipeline and not counted here).
+// strategy (domset and dist-domset kinds; other kinds are pinned to the
+// paper pipeline and not counted here).
 type SolverCount struct {
 	Solver string `json:"solver"`
 	Count  uint64 `json:"count"`

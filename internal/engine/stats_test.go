@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"bedom/internal/fault"
 	"bedom/internal/gen"
 	"bedom/internal/obs"
 )
@@ -69,7 +72,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 		{Graph: "g", Kind: KindDominatingSet, R: 1},
 		{Graph: "g", Kind: KindDominatingSet, R: 1},
 		{Graph: "g", Kind: KindCover, R: 1},
-		{Graph: "g", Kind: KindGreedy, R: 1},
+		{Graph: "g", Kind: KindDominatingSet, R: 1, Solver: "greedy"},
 	} {
 		if _, err := e.Do(ctx, req); err != nil {
 			t.Fatal(err)
@@ -99,7 +102,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	for _, want := range []string{
 		`bedom_queries_total{kind="domset",solver="paper"} 2`,
 		`bedom_queries_total{kind="cover",solver=""} 1`,
-		`bedom_queries_total{kind="greedy",solver="greedy"} 1`,
+		`bedom_queries_total{kind="domset",solver="greedy"} 1`,
 		`bedom_mutations_total 1`,
 		`# TYPE bedom_query_seconds histogram`,
 		`bedom_substrate_build_seconds_count{stage="order"}`,
@@ -114,5 +117,36 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	}
 	if st.CacheHits != e.stats.cacheHits.Value() {
 		t.Fatalf("stats/registry cache-hit divergence: %d vs %d", st.CacheHits, e.stats.cacheHits.Value())
+	}
+}
+
+// TestBuildTimeIsExclusive pins the exclusive build-time accounting.  A
+// sticky 100ms stage hook on every order build must not show up in any
+// stage's bedom_substrate_build_seconds: hook latency is not build time,
+// and the solve build subtracts the nested order fetch it waited on.  The
+// per-stage sums must add up to Stats().BuildMSTotal.
+func TestBuildTimeIsExclusive(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	stages := fault.NewStages(fault.StageFault{Stage: "substrate:order", Delay: delay, Sticky: true})
+	e := testEngine(t, Config{StageHook: stages.Hook()})
+	if _, err := e.Register("g", gen.Grid(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if stages.Fired() == 0 {
+		t.Fatal("the cold query fired no order hook")
+	}
+	var sum float64
+	for _, stage := range []string{"order", "wreach", "cover", "solve"} {
+		h := e.stats.buildSeconds.With(stage)
+		if s := h.Sum(); s >= delay.Seconds() {
+			t.Errorf("stage %s build time %.3fs includes the injected %v hook latency", stage, s, delay)
+		}
+		sum += h.Sum()
+	}
+	if got := e.Stats().BuildMSTotal; math.Abs(got-1000*sum) > 1e-3 {
+		t.Fatalf("BuildMSTotal %.6fms != stage sum %.6fms", got, 1000*sum)
 	}
 }

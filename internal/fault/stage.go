@@ -8,8 +8,9 @@ import (
 
 // StageFault schedules one engine-stage fault: the Nth firing of a stage
 // whose name contains Stage sleeps for Delay and/or panics with Panic.
-// Stage names follow the engine's span vocabulary: "order", "wreach",
-// "cover", "solve:<strategy>", "query:<kind>".
+// The engine's stage names are "query:<kind>" (every query),
+// "substrate:order", "substrate:wreach", "substrate:cover" and
+// "solve:<strategy>" (each fired only when that substrate is built).
 type StageFault struct {
 	Stage string // substring the stage name must contain ("" = every stage)
 	// AfterN fires on the Nth matching stage execution, 1-based (0 = 1).

@@ -6,6 +6,7 @@ import (
 
 	"bedom/internal/domset"
 	"bedom/internal/graph"
+	"bedom/internal/order"
 )
 
 func init() { Register(dvorakSolver{}) }
@@ -40,10 +41,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	if err != nil {
 		return Result{}, err
 	}
-	wcol, err := sub.Wcol(ctx, r, r)
-	if err != nil {
-		return Result{}, err
-	}
 	n := g.N()
 	dominated := make([]bool, n)
 	var D []int
@@ -65,6 +62,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       wcol,
+		Wcol:       order.WColOfSets(sets),
 	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"bedom/internal/distalgo"
 	"bedom/internal/domset"
 	"bedom/internal/graph"
+	"bedom/internal/order"
 )
 
 func init() { Register(paperSolver{}) }
@@ -28,7 +29,7 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	if err != nil {
 		return Result{}, err
 	}
-	wcol, err := sub.Wcol(ctx, r, 2*r)
+	sets, err := sub.WReach(ctx, r, 2*r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -36,7 +37,7 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       wcol,
+		Wcol:       order.WColOfSets(sets),
 	}, nil
 }
 

@@ -40,8 +40,6 @@ type Substrate interface {
 	Order(ctx context.Context, r int) (*order.Order, error)
 	// WReach returns the weak s-reachability sets of the radius-orderR order.
 	WReach(ctx context.Context, orderR, s int) ([][]int, error)
-	// Wcol returns the measured wcol_s of the radius-orderR order.
-	Wcol(ctx context.Context, orderR, s int) (int, error)
 }
 
 // Result is the outcome of a sequential solve.
@@ -211,13 +209,4 @@ func (l *Local) WReach(ctx context.Context, orderR, s int) ([][]int, error) {
 	sets := order.WReachSetsWorkers(l.g, o, s, l.workers)
 	l.wreach[key] = sets
 	return sets, nil
-}
-
-// Wcol implements Substrate.
-func (l *Local) Wcol(ctx context.Context, orderR, s int) (int, error) {
-	sets, err := l.WReach(ctx, orderR, s)
-	if err != nil {
-		return 0, err
-	}
-	return order.WColOfSets(sets), nil
 }
