@@ -264,9 +264,6 @@ type DistributedOptions struct {
 	// DefaultDistributedOptions (the recommended path) to get CONGEST_BC, or
 	// set Model explicitly.
 	Model Model
-	// Workers bounds the number of goroutines the simulator uses per round
-	// (0 = GOMAXPROCS).
-	Workers int
 	// MaxRounds aborts runaway algorithms (0 = generous default).
 	MaxRounds int
 	// RefinedOrder selects the refined distributed order computation (a
@@ -291,7 +288,7 @@ func DefaultDistributedOptions() DistributedOptions {
 }
 
 func (o DistributedOptions) simOptions() dist.Options {
-	return dist.Options{Workers: o.Workers, MaxRounds: o.MaxRounds}
+	return dist.Options{MaxRounds: o.MaxRounds}
 }
 
 // DistributedResult is the outcome of a distributed computation together
@@ -319,8 +316,7 @@ func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (Dist
 	opt := pickOpts(opts)
 	resp, err := defaultEngine().Do(context.Background(), engine.Request{
 		G: g, Kind: engine.KindDistributedDominatingSet, R: r,
-		Model: opt.Model, ModelSet: true,
-		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
+		Model: opt.Model, ModelSet: true, MaxRounds: opt.MaxRounds,
 		RefinedOrder: opt.RefinedOrder, Solver: opt.Solver,
 	})
 	if err != nil {
@@ -342,8 +338,7 @@ func DistributedConnectedDominatingSet(g *Graph, r int, opts ...DistributedOptio
 	opt := pickOpts(opts)
 	resp, err := defaultEngine().Do(context.Background(), engine.Request{
 		G: g, Kind: engine.KindDistributedConnected, R: r,
-		Model: opt.Model, ModelSet: true,
-		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
+		Model: opt.Model, ModelSet: true, MaxRounds: opt.MaxRounds,
 	})
 	if err != nil {
 		return DistributedResult{}, err

@@ -121,7 +121,7 @@ func TestDistributedAPI(t *testing.T) {
 		t.Fatal("connected set smaller than its dominating set")
 	}
 	// Explicit options path.
-	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Model: CONGESTBC, Workers: 1})
+	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Model: CONGESTBC})
 	if err != nil {
 		t.Fatal(err)
 	}

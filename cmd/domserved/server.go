@@ -507,8 +507,7 @@ type queryRequest struct {
 	// Model names the communication model for distributed kinds
 	// ("local", "congest", "congest_bc"; default "congest_bc").
 	Model string `json:"model,omitempty"`
-	// Workers / MaxRounds / RefinedOrder tune the simulator.
-	Workers      int  `json:"workers,omitempty"`
+	// MaxRounds / RefinedOrder tune the simulator.
 	MaxRounds    int  `json:"max_rounds,omitempty"`
 	RefinedOrder bool `json:"refined_order,omitempty"`
 	// Solver names the strategy for the domset and dist-domset kinds
@@ -526,15 +525,11 @@ func (q queryRequest) toEngine() (engine.Request, error) {
 	if q.MaxRounds < 0 || q.MaxRounds > maxClientRounds {
 		return engine.Request{}, fmt.Errorf("max_rounds must be in [0, %d], got %d", maxClientRounds, q.MaxRounds)
 	}
-	if q.Workers < 0 || q.Workers > maxClientWorkers {
-		return engine.Request{}, fmt.Errorf("workers must be in [0, %d], got %d", maxClientWorkers, q.Workers)
-	}
 	req := engine.Request{
 		Graph:           q.Graph,
 		Kind:            engine.Kind(q.Kind),
 		R:               q.R,
 		Timeout:         time.Duration(q.TimeoutMS) * time.Millisecond,
-		SimWorkers:      q.Workers,
 		MaxRounds:       q.MaxRounds,
 		RefinedOrder:    q.RefinedOrder,
 		Solver:          q.Solver,
@@ -604,11 +599,6 @@ const maxBatchSize = 4096
 // arbitrarily long after its timeout fired (the simulator does not observe
 // contexts), starving the daemon.
 const maxClientRounds = 10_000_000
-
-// maxClientWorkers caps the client-supplied simulator worker override: the
-// simulator otherwise clamps only at n goroutines, which a single request
-// against a large graph could use to exhaust memory.
-const maxClientWorkers = 256
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var b batchRequest

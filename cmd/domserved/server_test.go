@@ -212,10 +212,6 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge max_rounds: %d", resp.StatusCode)
 	}
-	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "workers": 1 << 20}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("huge workers: %d", resp.StatusCode)
-	}
 	// Client-induced simulator failures are 422s, not 500s.
 	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 1}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"runtime"
-	"sync"
-)
+import "bedom/internal/graph"
 
 // roundAccum collects the per-round bookkeeping of one worker: delivery
 // statistics, the quiescence and halting flags, and whether a model
@@ -46,63 +43,24 @@ func (a *roundAccum) merge(b *roundAccum) {
 	a.errSeen = a.errSeen || b.errSeen
 }
 
-// workerCount resolves Options.Workers: 0 means GOMAXPROCS, and there is
-// never a point in more workers than vertices.
-func (r *Runner) workerCount() int {
-	w := r.opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if n := r.g.N(); w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEachNode applies fn to every vertex, fanned out over the worker pool in
-// contiguous index ranges, and returns the merged accumulator.  fn must only
-// touch state owned by its vertex (see Runner.step); the WaitGroup provides
-// the happens-before edges between rounds.
+// forEachNode applies fn to every vertex, fanned out over Options.Workers
+// (0 = GOMAXPROCS) in contiguous index blocks, and returns the merged
+// accumulator.  fn must only touch state owned by its vertex (see
+// Runner.step); graph.ParallelBlocks' wait provides the happens-before edges
+// between rounds.
 func (r *Runner) forEachNode(fn func(acc *roundAccum, v int)) roundAccum {
 	n := r.g.N()
-	workers := r.workerCount()
-	if workers == 1 {
-		acc := roundAccum{allDone: true}
-		for v := 0; v < n; v++ {
-			fn(&acc, v)
+	accs := make([]roundAccum, graph.ResolveWorkers(r.opts.Workers, n))
+	graph.ParallelBlocks(n, len(accs), func(k, lo, hi int) {
+		acc := &accs[k]
+		*acc = roundAccum{allDone: true}
+		for v := lo; v < hi; v++ {
+			fn(acc, v)
 		}
-		return acc
-	}
-	accs := make([]roundAccum, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			accs[w].allDone = true
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := &accs[w]
-			acc.allDone = true
-			for v := lo; v < hi; v++ {
-				fn(acc, v)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	total := roundAccum{allDone: true}
-	for w := range accs {
-		total.merge(&accs[w])
+	for k := range accs {
+		total.merge(&accs[k])
 	}
 	return total
 }

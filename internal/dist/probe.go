@@ -83,14 +83,6 @@ type RunProfile struct {
 	Congestion []VertexWords `json:"congestion,omitempty"`
 }
 
-// RoundObserver receives every RoundProfile as it is produced, from the
-// coordinator goroutine (never concurrently).  It is for streaming
-// consumers — live dashboards, round-budget watchdogs; most callers only
-// need the profiles a Probe accumulates.
-type RoundObserver interface {
-	ObserveRound(RoundProfile)
-}
-
 // DefaultTopK is the congestion-table bound used when Probe.TopK is zero.
 const DefaultTopK = 16
 
@@ -102,9 +94,6 @@ type Probe struct {
 	// TopK bounds the per-run congestion table (0 = DefaultTopK, negative =
 	// no table).
 	TopK int
-	// Observer, when non-nil, additionally receives every round profile as
-	// it is produced.
-	Observer RoundObserver
 
 	mu       sync.Mutex
 	profiles []RunProfile

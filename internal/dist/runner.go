@@ -177,7 +177,7 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 		if probe != nil {
 			// Recorded before the error check: an aborting round's
 			// deliveries are in stats, so they belong in the profile too.
-			rp := RoundProfile{
+			r.rounds = append(r.rounds, RoundProfile{
 				Round:           t,
 				Messages:        total.messages,
 				Words:           total.words,
@@ -185,11 +185,7 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 				ActiveNodes:     total.active,
 				HaltedNodes:     total.halted,
 				DurationNS:      time.Since(roundStart).Nanoseconds(),
-			}
-			r.rounds = append(r.rounds, rp)
-			if probe.Observer != nil {
-				probe.Observer.ObserveRound(rp)
-			}
+			})
 		}
 		if total.errSeen {
 			return stats, r.firstError()

@@ -169,35 +169,6 @@ func (c *substrateCache) getOrBuild(ctx context.Context, key substrateKey, build
 	return call.val, false, call.err
 }
 
-// join serves key without ever starting (or being admitted for) a build: a
-// cache hit returns immediately, an in-flight build is waited on, and a
-// cold key reports handled=false so the caller can take an admission slot
-// and build.  The engine calls it before the rebuild admission guard, so
-// warm queries and coalescing waiters never occupy a rebuild slot — only
-// the goroutine that actually builds holds one.
-func (c *substrateCache) join(ctx context.Context, key substrateKey) (val any, handled, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		c.stats.cacheHits.Inc()
-		return v, true, true, nil
-	}
-	call, ok := c.inflight[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false, false, nil
-	}
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		return nil, true, false, ctx.Err()
-	}
-	c.stats.cacheCoalesced.Inc()
-	return call.val, true, true, call.err
-}
-
 // purge drops every entry belonging to the given graph generation and
 // retires the generation (used when a graph is removed, re-registered under
 // the same name, or mutated).  It returns the number of entries dropped.

@@ -51,10 +51,13 @@ type DistRunSummary struct {
 	Err      string    `json:"err,omitempty"`
 }
 
-// distRunLog is a fixed-capacity ring of recent records with an ID index.
+// distRunCapacity is the number of distributed runs the ring retains.
+const distRunCapacity = 64
+
+// distRunRing is a fixed-capacity ring of recent records with an ID index.
 // Records are immutable once inserted, so lookups can hand them out without
 // copying.
-type distRunLog struct {
+type distRunRing struct {
 	mu   sync.Mutex
 	cap  int
 	ring []*DistRunRecord
@@ -62,18 +65,15 @@ type distRunLog struct {
 	byID map[string]*DistRunRecord
 }
 
-func newDistRunLog(capacity int) *distRunLog {
-	if capacity <= 0 {
-		return nil
-	}
-	return &distRunLog{
+func newDistRunRing(capacity int) *distRunRing {
+	return &distRunRing{
 		cap:  capacity,
 		ring: make([]*DistRunRecord, 0, capacity),
 		byID: make(map[string]*DistRunRecord, capacity),
 	}
 }
 
-func (l *distRunLog) add(rec *DistRunRecord) {
+func (l *distRunRing) add(rec *DistRunRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.ring) < l.cap {
@@ -90,7 +90,7 @@ func (l *distRunLog) add(rec *DistRunRecord) {
 }
 
 // list returns summaries, newest first.
-func (l *distRunLog) list() []DistRunSummary {
+func (l *distRunRing) list() []DistRunSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]DistRunSummary, 0, len(l.ring))
@@ -111,29 +111,16 @@ func (l *distRunLog) list() []DistRunSummary {
 	return out
 }
 
-func (l *distRunLog) get(id string) (*DistRunRecord, bool) {
+func (l *distRunRing) get(id string) (*DistRunRecord, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	r, ok := l.byID[id]
 	return r, ok
 }
 
-// newDistProbe returns the probe a distributed-kind query runs with, or nil
-// when profile retention is disabled (Config.DistRunLog < 0).
-func (e *Engine) newDistProbe() *dist.Probe {
-	if e.distRuns == nil {
-		return nil
-	}
-	return &dist.Probe{}
-}
-
 // recordDistRun folds a finished distributed query's probe into the ring.
-// No-op when retention is disabled or the query never reached the simulator
-// (zero profiles).
+// No-op when the query never reached the simulator (zero profiles).
 func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName string, p *dist.Probe, runErr error) {
-	if e.distRuns == nil || p == nil {
-		return
-	}
 	profiles := p.Profiles()
 	if len(profiles) == 0 {
 		return
@@ -167,20 +154,13 @@ func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName stri
 	e.distRuns.add(rec)
 }
 
-// DistRuns lists the retained distributed runs, newest first (empty when
-// retention is disabled).
+// DistRuns lists the retained distributed runs, newest first.
 func (e *Engine) DistRuns() []DistRunSummary {
-	if e.distRuns == nil {
-		return nil
-	}
 	return e.distRuns.list()
 }
 
 // DistRun returns the retained record for a query ID.  The record is shared
 // and must not be mutated.
 func (e *Engine) DistRun(id string) (*DistRunRecord, bool) {
-	if e.distRuns == nil {
-		return nil, false
-	}
 	return e.distRuns.get(id)
 }

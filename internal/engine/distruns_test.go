@@ -69,7 +69,8 @@ func TestDistRunRing(t *testing.T) {
 }
 
 func TestDistRunRingEvictsOldest(t *testing.T) {
-	e := testEngine(t, Config{DistRunLog: 2})
+	e := testEngine(t, Config{})
+	e.distRuns = newDistRunRing(2)
 	g := gen.Grid(5, 5)
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -86,19 +87,5 @@ func TestDistRunRingEvictsOldest(t *testing.T) {
 	}
 	if _, ok := e.DistRun(ids[0]); ok {
 		t.Fatal("evicted run still resolvable by ID")
-	}
-}
-
-func TestDistRunRingDisabled(t *testing.T) {
-	e := testEngine(t, Config{DistRunLog: -1})
-	g := gen.Grid(5, 5)
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindDistributedDominatingSet, R: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if runs := e.DistRuns(); len(runs) != 0 {
-		t.Fatalf("disabled ring retained %d runs", len(runs))
-	}
-	if _, ok := e.DistRun("whatever"); ok {
-		t.Fatal("disabled ring resolved an ID")
 	}
 }

@@ -76,20 +76,16 @@ type Config struct {
 	// CacheEntries bounds the number of cached substrates (LRU eviction).
 	// Default 128.
 	CacheEntries int
-	// Workers is the query-executor pool size.  Default GOMAXPROCS.
+	// Workers is the query-executor pool size.  Default GOMAXPROCS.  It is
+	// the engine's only concurrency bound: a query's substrate builds run on
+	// its worker, so at most Workers query builds are ever in flight
+	// (OrderFor builds on its caller's goroutine).
 	Workers int
 	// QueueDepth bounds queued-but-unstarted queries.  Default 4·Workers.
 	QueueDepth int
 	// DefaultTimeout applies to queries that set no per-request timeout
 	// (0 = no timeout).
 	DefaultTimeout time.Duration
-	// MaxConcurrentRebuilds bounds the number of substrate rebuild chains
-	// that may run at once (an admission guard: a mutation storm invalidates
-	// many substrates, and without the bound every queued query would start
-	// its own expensive rebuild concurrently).  Queries needing a rebuild
-	// beyond the bound wait for a slot; warm queries are never throttled.
-	// Default GOMAXPROCS.
-	MaxConcurrentRebuilds int
 	// CompactionThreshold is the per-graph delta-overlay size (in
 	// half-edges) at which pending mutations are folded into a fresh CSR
 	// base (see graph.Dynamic).  0 = graph.DefaultCompactionThreshold.
@@ -138,10 +134,6 @@ type Config struct {
 	// ones (0 = store default, ~1M entries; negative = always varint).
 	// Ignored by New.  See store.Options.RawSnapshotMinEntries.
 	RawSnapshotMinEntries int
-	// DistRunLog is the ring capacity of retained distributed-run round
-	// profiles (served by domserved at /debug/dist/runs).  0 = 64; negative
-	// disables retention, which also disables per-query probing entirely.
-	DistRunLog int
 }
 
 func (c Config) normalised() Config {
@@ -154,9 +146,6 @@ func (c Config) normalised() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.MaxConcurrentRebuilds <= 0 {
-		c.MaxConcurrentRebuilds = runtime.GOMAXPROCS(0)
-	}
 	if c.QueueWaitBudget == 0 {
 		c.QueueWaitBudget = 500 * time.Millisecond
 	}
@@ -164,11 +153,6 @@ func (c Config) normalised() Config {
 		c.PersistRetries = 3
 	} else if c.PersistRetries < 0 {
 		c.PersistRetries = 0
-	}
-	if c.DistRunLog == 0 {
-		c.DistRunLog = 64
-	} else if c.DistRunLog < 0 {
-		c.DistRunLog = 0
 	}
 	return c
 }
@@ -249,16 +233,8 @@ type Engine struct {
 	exec  *executor
 	stats *statsCollector
 
-	// rebuildSem is the admission guard bounding concurrent substrate
-	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
-	// top-level cache misses acquire a slot; builds nested inside an
-	// admitted build (the order underneath a WReach or cover build) run on
-	// their parent's slot, marked by a build context (see fetch).
-	rebuildSem chan struct{}
-
-	// distRuns retains recent distributed-run round profiles (nil when
-	// Config.DistRunLog is negative).
-	distRuns *distRunLog
+	// distRuns retains recent distributed-run round profiles.
+	distRuns *distRunRing
 
 	mu      sync.Mutex
 	graphs  map[string]*graphEntry
@@ -287,24 +263,6 @@ type Engine struct {
 	replaySkipped int
 }
 
-// acquireRebuild takes a rebuild-admission slot, blocking until one frees or
-// ctx expires.  The returned release function must be called exactly once.
-func (e *Engine) acquireRebuild(ctx context.Context) (func(), error) {
-	release := func() { <-e.rebuildSem }
-	select {
-	case e.rebuildSem <- struct{}{}:
-		return release, nil
-	default:
-	}
-	e.stats.rebuildWaits.Add(1)
-	select {
-	case e.rebuildSem <- struct{}{}:
-		return release, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // anonHandle tracks the cache generation of a graph queried directly through
 // the facade path (no registry name).  The map key is a weak pointer, so the
 // engine never keeps a caller's graph alive (its cached substrates age out
@@ -327,14 +285,13 @@ func New(cfg Config) *Engine {
 	}
 	stats := newStatsCollector(reg)
 	e := &Engine{
-		cfg:        cfg,
-		cache:      newSubstrateCache(cfg.CacheEntries, stats),
-		exec:       newExecutor(cfg.Workers, cfg.QueueDepth, cfg.QueueWaitBudget),
-		stats:      stats,
-		rebuildSem: make(chan struct{}, cfg.MaxConcurrentRebuilds),
-		graphs:     make(map[string]*graphEntry),
-		anon:       make(map[weak.Pointer[graph.Graph]]anonHandle),
-		distRuns:   newDistRunLog(cfg.DistRunLog),
+		cfg:      cfg,
+		cache:    newSubstrateCache(cfg.CacheEntries, stats),
+		exec:     newExecutor(cfg.Workers, cfg.QueueDepth, cfg.QueueWaitBudget),
+		stats:    stats,
+		graphs:   make(map[string]*graphEntry),
+		anon:     make(map[weak.Pointer[graph.Graph]]anonHandle),
+		distRuns: newDistRunRing(distRunCapacity),
 	}
 	// Scrape-time gauges.  The closures keep the engine reachable for the
 	// registry's lifetime, which is why sharing a registry across engines is
@@ -342,7 +299,6 @@ func New(cfg Config) *Engine {
 	reg.GaugeFunc("bedom_graphs", "Registered graphs.", func() float64 { return float64(e.GraphCount()) })
 	reg.GaugeFunc("bedom_cache_entries", "Live substrate cache entries.", func() float64 { return float64(e.cache.len()) })
 	reg.Gauge("bedom_cache_capacity", "Substrate cache capacity (LRU bound).").Set(float64(cfg.CacheEntries))
-	reg.Gauge("bedom_max_concurrent_rebuilds", "Rebuild admission guard capacity.").Set(float64(cfg.MaxConcurrentRebuilds))
 	reg.GaugeFunc("bedom_degraded", "1 while the engine is in read-only degraded mode.", func() float64 {
 		if e.degraded.Load() {
 			return 1
@@ -708,16 +664,15 @@ func (e *Engine) handleFor(g *graph.Graph) uint64 {
 // one goroutine.
 type buildFrame struct{ nested time.Duration }
 
-// buildKey carries a build context's *buildFrame.  Its presence also marks
-// the context as admitted: the build holds a rebuild-admission slot, and its
-// nested fetches run on that slot.
+// buildKey carries a build context's *buildFrame.
 type buildKey struct{}
 
-// fetch serves one cached substrate.  It opens the key's span and joins,
-// admits and single-flights through getSubstrate.  On a miss it fires the
-// stage hook, then runs build and records build's elapsed time minus its
-// nested fetches as exclusive build time.  build runs under a fresh build
-// context, detached from the requester: a build is shared work, and if it
+// fetch serves one cached substrate.  It opens the key's span and
+// single-flights through the cache.  On a miss it fires the stage hook, then
+// runs build and records build's elapsed time minus its nested fetches as
+// exclusive build time.  build runs on the calling query's worker, under a
+// fresh build context whose one job is to carry the build frame: it is
+// detached from the requester, because a build is shared work, and if it
 // adopted one requester's deadline, that requester's timeout would become
 // the build's error for every coalesced waiter.
 func (e *Engine) fetch(ctx context.Context, key substrateKey, build func(ctx context.Context) (any, error)) (any, bool, error) {
@@ -727,7 +682,7 @@ func (e *Engine) fetch(ctx context.Context, key substrateKey, build func(ctx con
 		start := time.Now()
 		defer func() { parent.nested += time.Since(start) }()
 	}
-	return e.getSubstrate(ctx, key, func() (any, error) {
+	return e.cache.getOrBuild(ctx, key, func() (any, error) {
 		e.stage(key.hook())
 		frame := &buildFrame{}
 		start := time.Now()
@@ -740,30 +695,6 @@ func (e *Engine) fetch(ctx context.Context, key substrateKey, build func(ctx con
 		e.stats.buildSeconds.With(key.kind.stage()).ObserveDuration(d)
 		return v, nil
 	})
-}
-
-// getSubstrate wraps the cache with the rebuild admission guard.  Warm keys
-// and waiters coalescing onto an in-flight build are served via join and
-// never occupy a slot; only a caller about to build takes one — unless ctx
-// is a build context (nested fetches run on their parent's slot).  Every
-// in-flight build's goroutine therefore holds a slot or rides a holder's,
-// and never waits to acquire a second one, which keeps the guard
-// deadlock-free at any capacity.  (Two callers racing past join for the
-// same cold key may briefly hold a slot each while one of them coalesces
-// inside getOrBuild — bounded by the race width, not by the number of
-// queued queries.)
-func (e *Engine) getSubstrate(ctx context.Context, key substrateKey, build func() (any, error)) (any, bool, error) {
-	if ctx.Value(buildKey{}) == nil {
-		if v, handled, hit, err := e.cache.join(ctx, key); handled {
-			return v, hit, err
-		}
-		release, err := e.acquireRebuild(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		defer release()
-	}
-	return e.cache.getOrBuild(ctx, key, build)
 }
 
 // OrderFor returns the (cached) weak-reachability order for radius r,

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +112,47 @@ func TestSingleFlight(t *testing.T) {
 		if !equalInts(responses[i].Set, responses[0].Set) {
 			t.Fatal("parallel identical queries disagree")
 		}
+	}
+}
+
+// TestBuildConcurrencyBoundedByWorkers pins the engine's one concurrency
+// bound: a substrate build runs on its query's executor worker, so no more
+// than Config.Workers builds are ever in flight — and all of them can be.
+func TestBuildConcurrencyBoundedByWorkers(t *testing.T) {
+	var inFlight, peak atomic.Int32
+	e := testEngine(t, Config{Workers: 2, StageHook: func(stage string) {
+		if stage != "substrate:order" {
+			return
+		}
+		n := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(30 * time.Millisecond)
+		inFlight.Add(-1)
+	}})
+	const graphs = 6
+	for i := 0; i < graphs; i++ {
+		if _, err := e.Register(fmt.Sprintf("g%d", i), gen.Grid(8, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < graphs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := e.Do(context.Background(), Request{Graph: fmt.Sprintf("g%d", i), Kind: KindDominatingSet, R: 1}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := peak.Load(); got != 2 {
+		t.Fatalf("peak concurrent order builds = %d, want exactly Workers = 2", got)
 	}
 }
 

@@ -74,8 +74,6 @@ type Request struct {
 	Model Model `json:"-"`
 	// ModelSet marks Model as explicit, allowing LOCAL to be requested.
 	ModelSet bool `json:"-"`
-	// SimWorkers bounds simulator goroutines per round (0 = GOMAXPROCS).
-	SimWorkers int `json:"-"`
 	// MaxRounds aborts runaway protocols (0 = generous default).
 	MaxRounds int `json:"-"`
 	// RefinedOrder selects the refined distributed order pipeline.
@@ -86,7 +84,7 @@ type Request struct {
 }
 
 func (r Request) simOptions() dist.Options {
-	return dist.Options{Workers: r.SimWorkers, MaxRounds: r.MaxRounds}
+	return dist.Options{MaxRounds: r.MaxRounds}
 }
 
 func (r Request) distOptions() solver.DistOptions {
@@ -343,7 +341,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 			return nil, fmt.Errorf("%w: solver %q has no distributed engine", ErrInvalidRequest, s.Name())
 		}
 		dopts := req.distOptions()
-		probe := e.newDistProbe()
+		probe := &dist.Probe{}
 		dopts.Sim.Probe = probe
 		res, err := ds.SolveDist(g, req.R, dopts)
 		e.recordDistRun(ctx, req, s.Name(), probe, err)
@@ -364,7 +362,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 			model = req.Model
 		}
 		sopts := req.simOptions()
-		probe := e.newDistProbe()
+		probe := &dist.Probe{}
 		sopts.Probe = probe
 		res, err := distalgo.RunConnectedDomSet(g, req.R, model, sopts)
 		e.recordDistRun(ctx, req, "", probe, err)

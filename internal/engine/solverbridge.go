@@ -11,10 +11,9 @@ import (
 // engineSubstrate adapts the engine's cached substrate accessors to the
 // solver.Substrate interface.  It fetches under ctx, the build context of
 // the result build it serves, and ignores the context a solver passes: ctx
-// is admitted (nested builds ride the parent's rebuild slot and inherit no
-// requester deadline) and carries the frame that keeps the solve's build
-// time exclusive.  allHit tracks whether every fetch was a cache hit (the
-// query's CacheHit report).
+// carries the frame that keeps the solve's build time exclusive and inherits
+// no requester deadline.  allHit tracks whether every fetch was a cache hit
+// (the query's CacheHit report).
 type engineSubstrate struct {
 	ctx    context.Context
 	e      *Engine

@@ -36,7 +36,6 @@ type statsCollector struct {
 	cacheMisses    *obs.Counter
 	cacheCoalesced *obs.Counter
 	cacheEvictions *obs.Counter
-	rebuildWaits   *obs.Counter
 	// buildSeconds breaks substrate construction down by stage (order,
 	// wreach, cover, solve); each build reports its exclusive time (see
 	// Engine.fetch), so stage sums add up to BuildMSTotal.
@@ -72,7 +71,6 @@ func newStatsCollector(reg *obs.Registry) *statsCollector {
 		cacheMisses:    reg.Counter("bedom_cache_misses_total", "Substrate cache misses (builds started)."),
 		cacheCoalesced: reg.Counter("bedom_cache_coalesced_total", "Queries that waited on a concurrent build of the same substrate."),
 		cacheEvictions: reg.Counter("bedom_cache_evictions_total", "Substrates evicted from the LRU."),
-		rebuildWaits:   reg.Counter("bedom_rebuild_waits_total", "Substrate fetches that waited for a rebuild-admission slot."),
 		buildSeconds:   reg.HistogramVec("bedom_substrate_build_seconds", "Exclusive substrate build time by stage (order, wreach, cover, solve).", nil, "stage"),
 
 		mutations:     reg.Counter("bedom_mutations_total", "Effective Mutate calls across all graphs."),
@@ -175,11 +173,6 @@ type Stats struct {
 	// lifetime (it never decreases, even when graphs are removed or
 	// re-registered; per-graph counts live in GraphStats).
 	Compactions uint64 `json:"compactions"`
-	// RebuildWaits counts substrate fetches that waited for a
-	// rebuild-admission slot.
-	RebuildWaits uint64 `json:"rebuild_waits"`
-	// MaxConcurrentRebuilds echoes the admission guard's capacity.
-	MaxConcurrentRebuilds int `json:"max_concurrent_rebuilds"`
 	// GraphStats lists per-graph generations and mutation counters, sorted
 	// by name.
 	GraphStats []GraphStat `json:"graph_stats,omitempty"`
@@ -228,27 +221,25 @@ func (e *Engine) Stats() Stats {
 	evictions := e.stats.cacheEvictions.Value()
 	queryCounts := e.stats.queries.Counts()
 	st := Stats{
-		Graphs:                graphs,
-		CacheEntries:          e.cache.len(),
-		CacheCapacity:         e.cache.capacity,
-		CacheHits:             hits,
-		CacheMisses:           misses,
-		Coalesced:             coalesced,
-		Evictions:             evictions,
-		SubstrateBuilds:       misses,
-		BuildMSTotal:          float64(e.cache.buildNanos.Load()) / 1e6,
-		Errors:                e.stats.errors.Value(),
-		Timeouts:              e.stats.timeouts.Value(),
-		QueriesShed:           e.stats.shed.Value(),
-		QueryPanics:           e.stats.queryPanics.Value(),
-		QueueDepth:            e.exec.queueLen(),
-		QueueCapacity:         e.cfg.QueueDepth,
-		DegradedTransitions:   e.stats.degradedTransitions.Value(),
-		QueryMSTotal:          e.stats.querySeconds.TotalSum() * 1e3,
-		Mutations:             e.stats.mutations.Value(),
-		Compactions:           e.stats.compactions.Value(),
-		RebuildWaits:          e.stats.rebuildWaits.Value(),
-		MaxConcurrentRebuilds: e.cfg.MaxConcurrentRebuilds,
+		Graphs:              graphs,
+		CacheEntries:        e.cache.len(),
+		CacheCapacity:       e.cache.capacity,
+		CacheHits:           hits,
+		CacheMisses:         misses,
+		Coalesced:           coalesced,
+		Evictions:           evictions,
+		SubstrateBuilds:     misses,
+		BuildMSTotal:        float64(e.cache.buildNanos.Load()) / 1e6,
+		Errors:              e.stats.errors.Value(),
+		Timeouts:            e.stats.timeouts.Value(),
+		QueriesShed:         e.stats.shed.Value(),
+		QueryPanics:         e.stats.queryPanics.Value(),
+		QueueDepth:          e.exec.queueLen(),
+		QueueCapacity:       e.cfg.QueueDepth,
+		DegradedTransitions: e.stats.degradedTransitions.Value(),
+		QueryMSTotal:        e.stats.querySeconds.TotalSum() * 1e3,
+		Mutations:           e.stats.mutations.Value(),
+		Compactions:         e.stats.compactions.Value(),
 	}
 	if e.degraded.Load() {
 		st.Degraded = true

@@ -223,10 +223,10 @@ func (d *Digraph) AugmentOnceWorkers(maxLen, workers int) AugmentationResult {
 
 	// Candidate scan: read-only on d, so vertex blocks proceed in parallel
 	// with private output buffers.
-	workers = substrateWorkers(workers, d.n)
+	workers = graph.ResolveWorkers(workers, d.n)
 	frat := make([][]lenEdge, workers)
 	trans := make([][]lenEdge, workers)
-	parallelBlocks(d.n, workers, func(k, lo, hi int) {
+	graph.ParallelBlocks(d.n, workers, func(k, lo, hi int) {
 		var fr, tr []lenEdge
 		for y := lo; y < hi; y++ {
 			outs := d.out[y]
@@ -381,9 +381,9 @@ func (d *Digraph) applyArcParts(parts [][]lenEdge, workers int) (added int) {
 	// Each worker writes its merged slices into one arena allocation sized
 	// by the upper bound |old| + |candidates| per tail, so a round costs one
 	// allocation per worker instead of one per touched vertex.
-	workers = substrateWorkers(workers, d.n)
+	workers = graph.ResolveWorkers(workers, d.n)
 	addedPer := make([]int, workers)
-	parallelBlocks(d.n, workers, func(k, lo, hi int) {
+	graph.ParallelBlocks(d.n, workers, func(k, lo, hi int) {
 		bound := 0
 		for u := lo; u < hi; u++ {
 			if off[u] != off[u+1] {
