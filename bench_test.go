@@ -20,6 +20,7 @@ import (
 	"bedom/internal/gen"
 	"bedom/internal/graph"
 	"bedom/internal/order"
+	"bedom/internal/solver"
 )
 
 // benchConfig is the reduced experiment configuration used by the E*
@@ -132,6 +133,80 @@ func BenchmarkCoverBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// namedGraph is a benchmark input labelled by its generator family.
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// churnGraphs returns the inputs of the load benchmark's churn workload at
+// its sizes (largest component, fixed seed): the graphs on whose mutation
+// path cover stats and sequential solves rerun after every delta.
+func churnGraphs(b *testing.B) []namedGraph {
+	b.Helper()
+	var out []namedGraph
+	for _, spec := range []struct {
+		family string
+		n      int
+	}{{"grid-holes", 4096}, {"geometric", 4000}, {"outerplanar", 4000}, {"tree", 4000}} {
+		f, err := gen.FamilyByName(spec.family)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, _ := gen.LargestComponent(f.Generate(spec.n, 1))
+		out = append(out, namedGraph{spec.family, g})
+	}
+	return out
+}
+
+// BenchmarkCoverStats measures the cover statistics of a churn query (one
+// cluster-radius sweep per cluster) on one worker.
+func BenchmarkCoverStats(b *testing.B) {
+	for _, in := range churnGraphs(b) {
+		for _, r := range []int{1, 2} {
+			c := cover.Build(in.g, order.ConstructDefault(in.g, r), r)
+			b.Run(fmt.Sprintf("%s/r=%d", in.name, r), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if st := c.ComputeStatsWorkers(in.g, 1); st.MaxRadius > 2*r {
+						b.Fatalf("cluster radius %d > 2r", st.MaxRadius)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSequentialSolvers measures one sequential solve per registered
+// strategy with its order and weak-reachability substrates prebuilt, so only
+// the solver's own work (ball scans, lower bound) is timed.
+func BenchmarkSequentialSolvers(b *testing.B) {
+	ctx := context.Background()
+	for _, in := range churnGraphs(b) {
+		sub := solver.NewLocal(in.g, 1)
+		for _, r := range []int{1, 2} {
+			for _, name := range solver.Names() {
+				s, err := solver.Get(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Solve(ctx, in.g, r, sub); err != nil {
+					b.Fatal(err)
+				}
+				b.Run(fmt.Sprintf("%s/r=%d/%s", in.name, r, name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						res, err := s.Solve(ctx, in.g, r, sub)
+						if err != nil || len(res.Set) == 0 {
+							b.Fatalf("solve failed: %v", err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

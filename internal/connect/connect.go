@@ -237,36 +237,26 @@ func pathLess(a, b []int, ids []int) bool {
 // partition of V(G) (when D distance-r dominates G) and every part induces a
 // subgraph in which its dominator reaches all members within r steps.
 func VerifyPartition(g *graph.Graph, D []int, r int, part []int) error {
-	counts := make([]int, len(D))
+	members := make([][]int, len(D))
 	for w, p := range part {
 		if p < 0 || p >= len(D) {
 			return fmt.Errorf("connect: vertex %d not assigned to any ball", w)
 		}
-		counts[p]++
-		_ = w
+		members[p] = append(members[p], w)
 	}
+	bw := g.NewBallWalker()
 	for i, v := range D {
-		var members []int
-		for w, p := range part {
-			if p == i {
-				members = append(members, w)
-			}
-		}
-		if len(members) == 0 {
+		if len(members[i]) == 0 {
 			continue
 		}
-		sub, origIdx := g.InducedSubgraph(members)
-		local := -1
-		for j, x := range origIdx {
-			if x == v {
-				local = j
-				break
-			}
-		}
-		if local == -1 {
+		if part[v] != i {
 			return fmt.Errorf("connect: dominator %d not inside its own ball", v)
 		}
-		if ecc := sub.Eccentricity(local); ecc > r {
+		ecc := bw.EccentricityWithin(v, members[i])
+		if ecc < 0 {
+			return fmt.Errorf("connect: ball of dominator %d is disconnected", v)
+		}
+		if ecc > r {
 			return fmt.Errorf("connect: ball of dominator %d has radius %d > r=%d", v, ecc, r)
 		}
 	}

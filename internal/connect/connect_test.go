@@ -142,6 +142,20 @@ func TestDPartitionUnreachableVertices(t *testing.T) {
 	}
 }
 
+// TestVerifyPartitionRejectsDisconnectedBall pins that a part its dominator
+// cannot span inside the part fails verification, even when every member it
+// does reach is within r.
+func TestVerifyPartitionRejectsDisconnectedBall(t *testing.T) {
+	g := gen.Path(3) // 0 – 1 – 2
+	D := []int{0, 1}
+	if err := VerifyPartition(g, D, 1, []int{0, 1, 0}); err == nil {
+		t.Fatal("partition with the disconnected ball {0,2} passed verification")
+	}
+	if err := VerifyPartition(g, D, 1, []int{0, 1, 1}); err != nil {
+		t.Fatalf("valid partition rejected: %v", err)
+	}
+}
+
 func TestMinorFromPartitionIsConnectedAndSparse(t *testing.T) {
 	g := gen.Apollonian(120, 9)
 	r := 1

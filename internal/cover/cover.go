@@ -178,8 +178,9 @@ type Stats struct {
 }
 
 // ComputeStats measures the cover against g.  The per-cluster radius sweeps
-// are independent, so they fan out across GOMAXPROCS workers (max/sum
-// merging is order-independent, keeping the result deterministic).
+// are independent, so they fan out across GOMAXPROCS workers, one
+// graph.BallWalker per worker block (max/sum merging is order-independent,
+// keeping the result deterministic).
 func (c *Cover) ComputeStats(g *graph.Graph) Stats { return c.ComputeStatsWorkers(g, 0) }
 
 // ComputeStatsWorkers is ComputeStats with an explicit bound on the
@@ -198,6 +199,7 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 	accs := make([]acc, workers)
 	graph.ParallelBlocks(len(c.centers), workers, func(k, lo, hi int) {
 		var a acc
+		bw := g.NewBallWalker()
 		for i := lo; i < hi; i++ {
 			center := c.centers[i]
 			cluster := c.clusters[center]
@@ -205,7 +207,7 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 			if len(cluster) > a.maxSize {
 				a.maxSize = len(cluster)
 			}
-			if rad := clusterRadius(g, center, cluster); rad > a.maxRadius {
+			if rad := bw.EccentricityWithin(center, cluster); rad > a.maxRadius {
 				a.maxRadius = rad
 			}
 		}
@@ -227,24 +229,6 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 	return st
 }
 
-// clusterRadius returns the eccentricity of center within the subgraph of g
-// induced by cluster, which upper-bounds the radius of that subgraph.
-func clusterRadius(g *graph.Graph, center int, cluster []int) int {
-	sub, orig := g.InducedSubgraph(cluster)
-	local := -1
-	for i, v := range orig {
-		if v == center {
-			local = i
-			break
-		}
-	}
-	if local == -1 {
-		// Should not happen: the center always belongs to its own cluster.
-		return -1
-	}
-	return sub.Eccentricity(local)
-}
-
 // Verify checks the defining property of an r-neighborhood cover: for every
 // vertex w there is a cluster containing the full closed r-neighborhood
 // N_r[w].  Following Lemma 6, it checks the cluster of Home[w] and falls back
@@ -252,8 +236,9 @@ func clusterRadius(g *graph.Graph, center int, cluster []int) int {
 // cluster induces a subgraph in which the center reaches all cluster members
 // within 2r steps.  Returns nil if the cover is valid.
 func (c *Cover) Verify(g *graph.Graph) error {
+	bw := g.NewBallWalker()
 	for w := 0; w < g.N(); w++ {
-		ball := g.Ball(w, c.R)
+		ball := bw.Ball(w, c.R)
 		if !c.clusterContains(c.Home[w], ball) {
 			ok := false
 			for _, center := range c.memberships[w] {
@@ -268,7 +253,11 @@ func (c *Cover) Verify(g *graph.Graph) error {
 		}
 	}
 	for _, center := range c.centers {
-		if rad := clusterRadius(g, center, c.clusters[center]); rad < 0 || rad > 2*c.R {
+		rad := bw.EccentricityWithin(center, c.clusters[center])
+		if rad < 0 {
+			return fmt.Errorf("cover: cluster of %d does not contain its center or is disconnected", center)
+		}
+		if rad > 2*c.R {
 			return fmt.Errorf("cover: cluster of %d has radius %d > 2r=%d", center, rad, 2*c.R)
 		}
 	}

@@ -126,6 +126,29 @@ func TestCoverVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsDisconnectedCluster pins that a cluster whose center
+// cannot reach every member inside the cluster fails verification, even when
+// all members it does reach are within 2r.
+func TestVerifyRejectsDisconnectedCluster(t *testing.T) {
+	g := gen.Path(3) // 0 – 1 – 2
+	c := &Cover{
+		R:    1,
+		Home: []int{1, 1, 1},
+		// X_1 = {0,1,2} holds every N_1[w]; X_0 = {0,2} is disconnected.
+		clusters:    [][]int{{0, 2}, {0, 1, 2}, nil},
+		centers:     []int{0, 1},
+		memberships: [][]int{{0, 1}, {1}, {0, 1}},
+	}
+	if err := c.Verify(g); err == nil {
+		t.Fatal("cover with a disconnected cluster passed verification")
+	}
+	c.clusters[0] = []int{0, 1}
+	c.memberships[2] = []int{1}
+	if err := c.Verify(g); err != nil {
+		t.Fatalf("connected cover rejected: %v", err)
+	}
+}
+
 func TestCoverSingleVertexAndDisconnected(t *testing.T) {
 	g := graph.New(1)
 	g.Finalize()

@@ -28,15 +28,16 @@ import (
 func LenzenSetA(g *graph.Graph) []bool {
 	n := g.N()
 	inA := make([]bool, n)
+	bw := g.NewBallWalker()
 	for v := 0; v < n; v++ {
-		inA[v] = !coverableByTwo(g, v)
+		inA[v] = !coverableByTwo(g, bw, v)
 	}
 	return inA
 }
 
 // coverableByTwo reports whether there exist two vertices u, w (both ≠ v)
-// with N(v) \ {u, w} ⊆ N(u) ∪ N(w).
-func coverableByTwo(g *graph.Graph, v int) bool {
+// with N(v) \ {u, w} ⊆ N(u) ∪ N(w).  bw is a walker on g.
+func coverableByTwo(g *graph.Graph, bw *graph.BallWalker, v int) bool {
 	nv := g.NeighborsInts(v)
 	if len(nv) <= 2 {
 		// Two vertices can always absorb a neighborhood of size ≤ 2.
@@ -49,7 +50,7 @@ func coverableByTwo(g *graph.Graph, v int) bool {
 	// same candidate pool around v.
 	x0 := nv[0]
 	firstCands := append([]int{x0}, g.NeighborsInts(x0)...)
-	pool := candidatePool(g, v)
+	pool := bw.Ball(v, 2) // N²[v]
 	for _, u := range firstCands {
 		if u == v {
 			continue
@@ -64,11 +65,6 @@ func coverableByTwo(g *graph.Graph, v int) bool {
 		}
 	}
 	return false
-}
-
-// candidatePool returns N²[v]: all vertices within distance 2 of v.
-func candidatePool(g *graph.Graph, v int) []int {
-	return g.Ball(v, 2)
 }
 
 // coversAllBut reports whether N(v)\{u,w} ⊆ N(u) ∪ N(w), given nv = N(v).
@@ -184,7 +180,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		}
 		// Knowledge of the 2-ball is complete: decide membership in A.
 		lg, _, toLocal, _ := l.gather.localView()
-		l.inA = !coverableByTwo(lg, toLocal[l.id])
+		l.inA = !coverableByTwo(lg, lg.NewBallWalker(), toLocal[l.id])
 		ctx.Broadcast(dist.IntMessage(boolToInt(l.inA)))
 	case 3:
 		domA := l.inA

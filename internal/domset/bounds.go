@@ -27,13 +27,14 @@ func ScatteredLowerBound(g *graph.Graph, r int, candidates []int) int {
 	}
 	// Greedily add candidates whose 2r-ball avoids previously chosen ones.
 	blocked := graph.NewBitset(g.N())
+	bw := g.NewBallWalker()
 	count := 0
 	for _, v := range cand {
 		if blocked.Get(v) {
 			continue
 		}
 		count++
-		for _, u := range g.Ball(v, 2*r) {
+		for _, u := range bw.Ball(v, 2*r) {
 			blocked.Set(u)
 		}
 	}
@@ -69,8 +70,9 @@ func BestLowerBound(g *graph.Graph, r int, approx []int, exactLimit, exactBudget
 // the experiments use to illustrate the overlap structure.
 func CoverageHistogram(g *graph.Graph, D []int, r int) []int {
 	counts := make([]int, g.N())
+	bw := g.NewBallWalker()
 	for _, v := range D {
-		for _, u := range g.Ball(v, r) {
+		for _, u := range bw.Ball(v, r) {
 			counts[u]++
 		}
 	}
@@ -91,8 +93,9 @@ func CoverageHistogram(g *graph.Graph, D []int, r int) []int {
 // distance r (its potential dominators).
 func Dominators(g *graph.Graph, D []int, r int) [][]int {
 	out := make([][]int, g.N())
+	bw := g.NewBallWalker()
 	for _, v := range D {
-		for _, u := range g.Ball(v, r) {
+		for _, u := range bw.Ball(v, r) {
 			out[u] = append(out[u], v)
 		}
 	}

@@ -23,17 +23,7 @@ func Exact(g *graph.Graph, r, budget int) (int, bool) {
 	if budget <= 0 {
 		budget = 2_000_000
 	}
-	// Precompute balls as bitsets and candidate dominators per vertex.
-	balls := make([]*graph.Bitset, n)
-	for v := 0; v < n; v++ {
-		balls[v] = g.BallBitset(v, r, nil)
-	}
-	dominatorsOf := make([][]int, n) // dominatorsOf[u] = {v : u ∈ ball(v)}
-	for v := 0; v < n; v++ {
-		for _, u := range balls[v].Members() {
-			dominatorsOf[u] = append(dominatorsOf[u], v)
-		}
-	}
+	balls, dominatorsOf := ballSystem(g, r)
 	// Greedy upper bound to prime the search.
 	best := len(Greedy(g, r))
 	covered := graph.NewBitset(n)
@@ -120,16 +110,7 @@ func ExactSet(g *graph.Graph, r, budget int) []int {
 		return []int{}
 	}
 	// Re-run a constrained search that records a witness of size optSize.
-	balls := make([]*graph.Bitset, n)
-	for v := 0; v < n; v++ {
-		balls[v] = g.BallBitset(v, r, nil)
-	}
-	dominatorsOf := make([][]int, n)
-	for v := 0; v < n; v++ {
-		for _, u := range balls[v].Members() {
-			dominatorsOf[u] = append(dominatorsOf[u], v)
-		}
-	}
+	balls, dominatorsOf := ballSystem(g, r)
 	covered := graph.NewBitset(n)
 	var chosen []int
 	var result []int
@@ -186,4 +167,22 @@ func ExactSet(g *graph.Graph, r, budget int) []int {
 	}
 	sort.Ints(result)
 	return result
+}
+
+// ballSystem returns the set-cover instance behind Exact: the closed r-ball
+// of every vertex as a bitset, and dominatorsOf[u] = {v : u ∈ ball(v)} in
+// increasing order.
+func ballSystem(g *graph.Graph, r int) (balls []*graph.Bitset, dominatorsOf [][]int) {
+	n := g.N()
+	balls = make([]*graph.Bitset, n)
+	dominatorsOf = make([][]int, n)
+	bw := g.NewBallWalker()
+	for v := 0; v < n; v++ {
+		balls[v] = graph.NewBitset(n)
+		for _, u := range bw.Ball(v, r) {
+			balls[v].Set(u)
+			dominatorsOf[u] = append(dominatorsOf[u], v)
+		}
+	}
+	return balls, dominatorsOf
 }

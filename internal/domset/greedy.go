@@ -21,9 +21,10 @@ func Greedy(g *graph.Graph, r int) []int {
 		return nil
 	}
 	covered := graph.NewBitset(n)
+	bw := g.NewBallWalker()
 	gain := func(v int) int {
 		cnt := 0
-		for _, u := range g.Ball(v, r) {
+		for _, u := range bw.Ball(v, r) {
 			if !covered.Get(u) {
 				cnt++
 			}
@@ -32,10 +33,11 @@ func Greedy(g *graph.Graph, r int) []int {
 	}
 	// Cached gains must upper-bound the true gain for the lazy evaluation to
 	// pick the exact greedy choice (gains only shrink as coverage grows), so
-	// every item starts at the trivial upper bound n and marked stale.
+	// every item starts at the trivial upper bound n and stale.  A gain is
+	// fresh only if computed since the latest pick: item.pick == len(D).
 	pq := make(lazyQueue, 0, n)
 	for v := 0; v < n; v++ {
-		pq = append(pq, lazyItem{v: v, gain: n, stale: true})
+		pq = append(pq, lazyItem{v: v, gain: n, pick: -1})
 	}
 	heap.Init(&pq)
 	var D []int
@@ -47,23 +49,19 @@ func Greedy(g *graph.Graph, r int) []int {
 			heap.Pop(&pq)
 			continue
 		}
-		if top.stale || fresh != top.gain {
+		if top.pick != len(D) || fresh != top.gain {
 			pq[0].gain = fresh
-			pq[0].stale = false
+			pq[0].pick = len(D)
 			heap.Fix(&pq, 0)
 			continue
 		}
 		heap.Pop(&pq)
-		D = append(D, top.v)
-		for _, u := range g.Ball(top.v, r) {
+		D = append(D, top.v) // stales every remaining cached gain
+		for _, u := range bw.Ball(top.v, r) {
 			if !covered.Get(u) {
 				covered.Set(u)
 				numCovered++
 			}
-		}
-		// All remaining cached gains may now be stale.
-		for i := range pq {
-			pq[i].stale = true
 		}
 	}
 	sort.Ints(D)
@@ -71,9 +69,9 @@ func Greedy(g *graph.Graph, r int) []int {
 }
 
 type lazyItem struct {
-	v     int
-	gain  int
-	stale bool
+	v    int
+	gain int
+	pick int // len(D) when gain was computed
 }
 
 type lazyQueue []lazyItem
@@ -105,13 +103,14 @@ func OrderGreedy(g *graph.Graph, positions []int, r int) []int {
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].pos < vs[j].pos })
 	covered := make([]bool, n)
+	bw := g.NewBallWalker()
 	var D []int
 	for _, x := range vs {
 		if covered[x.v] {
 			continue
 		}
 		D = append(D, x.v)
-		for _, u := range g.Ball(x.v, r) {
+		for _, u := range bw.Ball(x.v, r) {
 			covered[u] = true
 		}
 	}

@@ -30,8 +30,9 @@ func Prune(g *graph.Graph, D []int, r int, tryOrder []int) []int {
 	}
 	// coverage[u] = number of dominators within distance r of u.
 	coverage := make([]int, g.N())
+	bw := g.NewBallWalker()
 	for _, v := range D {
-		for _, u := range g.Ball(v, r) {
+		for _, u := range bw.Ball(v, r) {
 			coverage[u]++
 		}
 	}
@@ -44,7 +45,7 @@ func Prune(g *graph.Graph, D []int, r int, tryOrder []int) []int {
 		if v < 0 || v >= g.N() || !inD[v] {
 			continue
 		}
-		ball := g.Ball(v, r)
+		ball := bw.Ball(v, r)
 		removable := true
 		for _, u := range ball {
 			if coverage[u] < 2 {

@@ -265,10 +265,6 @@ func TestBall(t *testing.T) {
 	if got := g.Ball(3, -1); got != nil {
 		t.Fatalf("negative radius ball %v", got)
 	}
-	bs := g.BallBitset(3, 2, nil)
-	if bs.Count() != 5 || !bs.Get(1) || bs.Get(0) {
-		t.Fatalf("ball bitset %v", bs.Members())
-	}
 }
 
 func TestShortestPath(t *testing.T) {

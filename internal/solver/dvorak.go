@@ -43,6 +43,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	}
 	n := g.N()
 	dominated := make([]bool, n)
+	bw := g.NewBallWalker()
 	var D []int
 	for i := 0; i < n; i++ {
 		v := o.At(i)
@@ -54,7 +55,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 		// were w already in D, its ball would have marked v dominated.
 		w := sets[v][0]
 		D = append(D, w)
-		for _, u := range g.Ball(w, r) {
+		for _, u := range bw.Ball(w, r) {
 			dominated[u] = true
 		}
 	}
