@@ -142,24 +142,33 @@ type namedGraph struct {
 	g    *graph.Graph
 }
 
-// churnGraphs returns the inputs of the load benchmark's churn workload at
-// its sizes (largest component, fixed seed): the graphs on whose mutation
-// path cover stats and sequential solves rerun after every delta.
-func churnGraphs(b *testing.B) []namedGraph {
+// familyGraphs generates the largest component of grid-holes, geometric,
+// outerplanar and tree graphs of the given sizes (fixed seed).
+func familyGraphs(b *testing.B, sizes [4]int) []namedGraph {
 	b.Helper()
 	var out []namedGraph
-	for _, spec := range []struct {
-		family string
-		n      int
-	}{{"grid-holes", 4096}, {"geometric", 4000}, {"outerplanar", 4000}, {"tree", 4000}} {
-		f, err := gen.FamilyByName(spec.family)
+	for i, family := range []string{"grid-holes", "geometric", "outerplanar", "tree"} {
+		f, err := gen.FamilyByName(family)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, _ := gen.LargestComponent(f.Generate(spec.n, 1))
-		out = append(out, namedGraph{spec.family, g})
+		g, _ := gen.LargestComponent(f.Generate(sizes[i], 1))
+		out = append(out, namedGraph{family, g})
 	}
 	return out
+}
+
+// churnGraphs returns the inputs of the load benchmark's churn workload at
+// its sizes: the graphs on whose mutation path cover stats and sequential
+// solves rerun after every delta.
+func churnGraphs(b *testing.B) []namedGraph {
+	return familyGraphs(b, [4]int{4096, 4000, 4000, 4000})
+}
+
+// distSimGraphs returns the inputs of the load benchmark's dist-sim
+// workload at its sizes: the graphs its simulator queries run on.
+func distSimGraphs(b *testing.B) []namedGraph {
+	return familyGraphs(b, [4]int{1024, 1500, 2000, 3000})
 }
 
 // BenchmarkCoverStats measures the cover statistics of a churn query (one
@@ -202,6 +211,53 @@ func BenchmarkSequentialSolvers(b *testing.B) {
 						res, err := s.Solve(ctx, in.g, r, sub)
 						if err != nil || len(res.Set) == 0 {
 							b.Fatalf("solve failed: %v", err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDistPipelines measures the three simulator pipelines the engine
+// serves (dist-domset with the paper and kubsv solvers, dist-cds) in their
+// default models, each with a probe attached as every engine query has.
+func BenchmarkDistPipelines(b *testing.B) {
+	pipelines := []struct {
+		name string
+		run  func(g *graph.Graph, r int, p *dist.Probe) ([]int, error)
+	}{
+		{"paper", func(g *graph.Graph, r int, p *dist.Probe) ([]int, error) {
+			res, err := distalgo.RunDomSet(g, r, dist.CongestBC, dist.Options{Probe: p})
+			if err != nil {
+				return nil, err
+			}
+			return res.Set, nil
+		}},
+		{"kubsv", func(g *graph.Graph, r int, p *dist.Probe) ([]int, error) {
+			res, err := distalgo.RunKSV(g, r, dist.Local, dist.Options{Probe: p})
+			if err != nil {
+				return nil, err
+			}
+			return res.Set, nil
+		}},
+		{"cds", func(g *graph.Graph, r int, p *dist.Probe) ([]int, error) {
+			res, err := distalgo.RunConnectedDomSet(g, r, dist.CongestBC, dist.Options{Probe: p})
+			if err != nil {
+				return nil, err
+			}
+			return res.Set, nil
+		}},
+	}
+	for _, in := range distSimGraphs(b) {
+		for _, r := range []int{1, 2} {
+			for _, pl := range pipelines {
+				b.Run(fmt.Sprintf("%s/r=%d/%s", in.name, r, pl.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						set, err := pl.run(in.g, r, &dist.Probe{})
+						if err != nil || len(set) == 0 {
+							b.Fatalf("pipeline failed: %v", err)
 						}
 					}
 				})

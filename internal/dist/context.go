@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,6 +28,8 @@ type envelope struct {
 type outbox struct {
 	bcasts  []sentMsg
 	directs []envelope
+	// first backs bcasts, so the common one-broadcast round never grows it.
+	first [1]sentMsg
 }
 
 func (o *outbox) reset() {
@@ -44,7 +48,7 @@ func (o *outbox) empty() bool { return len(o.bcasts) == 0 && len(o.directs) == 0
 // protocols — skip it entirely.
 func (o *outbox) seal() {
 	if len(o.directs) > 1 {
-		sort.SliceStable(o.directs, func(i, j int) bool { return o.directs[i].to < o.directs[j].to })
+		slices.SortStableFunc(o.directs, func(a, b envelope) int { return cmp.Compare(a.to, b.to) })
 	}
 }
 
@@ -80,11 +84,12 @@ type Context struct {
 func (c *Context) Round() int { return c.r.round }
 
 // Degree returns the number of neighbors of this vertex.
-func (c *Context) Degree() int { return len(c.r.neighbors[c.v]) }
+func (c *Context) Degree() int { return c.r.degree(c.v) }
 
 // Neighbors returns the ids of this vertex's neighbors in increasing order.
-// The slice is shared with the simulator and must not be modified.
-func (c *Context) Neighbors() []int { return c.r.neighbors[c.v] }
+// The slice is shared with the simulator and must not be modified; it stays
+// valid after the run, so nodes may keep it or send it in messages.
+func (c *Context) Neighbors() []int { return c.r.neighbors(c.v) }
 
 // Broadcast stages msg for delivery to every neighbor at the next round.  In
 // the Congest models a node may broadcast at most once per round and the
@@ -158,9 +163,8 @@ func (c *Context) admit(msg Message) (words int, ok bool) {
 }
 
 func (c *Context) isNeighbor(u int) bool {
-	adj := c.r.neighbors[c.v]
-	i := sort.SearchInts(adj, u)
-	return i < len(adj) && adj[i] == u
+	_, ok := slices.BinarySearch(c.r.neighbors(c.v), u)
+	return ok
 }
 
 // finishStep is called by the runner when the owner's Init or Round call

@@ -100,7 +100,9 @@ type Options struct {
 // the message size in O(log n)-bit machine words (one word per vertex id or
 // small integer), the unit of the CONGEST bandwidth accounting.  Messages
 // must be treated as immutable once sent: the same value is delivered to
-// every receiver of a broadcast.
+// every receiver of a broadcast, and the runner never writes it.  A message
+// sent in round t is delivered in round t+1, so a protocol whose receivers
+// copy out what they keep may reuse the message's storage from round t+2.
 type Message interface {
 	Words() int
 }
@@ -124,9 +126,11 @@ type Inbound struct {
 // the messages received from the previous round, ordered by sender id
 // (broadcasts before point-to-point messages per sender, sends in order).
 // The inbox slice is only valid for the duration of the call — the runner
-// reuses its backing array the following round — so a node that needs
-// messages later must copy the Inbound values (the Message contents may be
-// retained; messages are immutable once sent).
+// refills its backing array for the next vertex the same worker steps — so
+// a node that needs messages later must copy the Inbound values.  Whether
+// the Message contents may be kept beyond the call is up to the protocol
+// (see Message): the library's protocols reuse their send buffers, so
+// their receivers copy out what they keep.
 type Node interface {
 	Init(*Context)
 	Round(*Context, []Inbound)

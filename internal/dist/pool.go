@@ -43,24 +43,30 @@ func (a *roundAccum) merge(b *roundAccum) {
 	a.errSeen = a.errSeen || b.errSeen
 }
 
-// forEachNode applies fn to every vertex, fanned out over Options.Workers
-// (0 = GOMAXPROCS) in contiguous index blocks, and returns the merged
-// accumulator.  fn must only touch state owned by its vertex (see
-// Runner.step); graph.ParallelBlocks' wait provides the happens-before edges
-// between rounds.
-func (r *Runner) forEachNode(fn func(acc *roundAccum, v int)) roundAccum {
-	n := r.g.N()
-	accs := make([]roundAccum, graph.ResolveWorkers(r.opts.Workers, n))
-	graph.ParallelBlocks(n, len(accs), func(k, lo, hi int) {
-		acc := &accs[k]
-		*acc = roundAccum{allDone: true}
+// worker is the state of one worker goroutine of a round: its accumulator
+// and the inbox buffer it fills for every vertex it steps.  Both live for
+// the whole run, so a round allocates no per-vertex inboxes.
+type worker struct {
+	acc   roundAccum
+	inbox []Inbound
+}
+
+// forEachNode applies fn to every vertex, fanned out over the run's workers
+// in contiguous index blocks, and returns the merged accumulator.  fn must
+// only touch state owned by its vertex or its worker (see Runner.step);
+// graph.ParallelBlocks' wait provides the happens-before edges between
+// rounds.
+func (r *Runner) forEachNode(fn func(w *worker, v int)) roundAccum {
+	graph.ParallelBlocks(r.g.N(), len(r.workers), func(k, lo, hi int) {
+		w := &r.workers[k]
+		w.acc = roundAccum{allDone: true}
 		for v := lo; v < hi; v++ {
-			fn(acc, v)
+			fn(w, v)
 		}
 	})
 	total := roundAccum{allDone: true}
-	for k := range accs {
-		total.merge(&accs[k])
+	for k := range r.workers {
+		total.merge(&r.workers[k].acc)
 	}
 	return total
 }

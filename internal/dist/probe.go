@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"bedom/internal/obs"
@@ -130,29 +130,75 @@ func (p *Probe) topK() int {
 
 // congestionTable selects the top-k vertices by sent+received words.  Only
 // vertices with traffic qualify; ties break toward the smaller vertex id so
-// the table is identical for every worker count.
+// the table is identical for every worker count.  It keeps a bounded heap of
+// the k best rows seen so far (worst row at the root), so a run costs
+// O(n log k) and allocates only the table, not one row per active vertex.
 func congestionTable(sent, recv []int64, k int) []VertexWords {
 	if k <= 0 {
 		return nil
 	}
-	rows := make([]VertexWords, 0, 64)
+	heap := make([]VertexWords, 0, min(k, len(sent)))
 	for v := range sent {
-		if sent[v] != 0 || recv[v] != 0 {
-			rows = append(rows, VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]})
+		if sent[v] == 0 && recv[v] == 0 {
+			continue
+		}
+		row := VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]}
+		switch {
+		case len(heap) < k:
+			heap = append(heap, row)
+			siftUp(heap, len(heap)-1)
+		case ranksBefore(row, heap[0]):
+			heap[0] = row
+			siftDown(heap, 0)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		ti := rows[i].SentWords + rows[i].RecvWords
-		tj := rows[j].SentWords + rows[j].RecvWords
-		if ti != tj {
-			return ti > tj
+	slices.SortFunc(heap, func(a, b VertexWords) int {
+		if ranksBefore(a, b) {
+			return -1
 		}
-		return rows[i].Vertex < rows[j].Vertex
+		return 1 // vertex ids are unique, so rows never tie
 	})
-	if len(rows) > k {
-		rows = rows[:k]
+	return heap[:len(heap):len(heap)]
+}
+
+// ranksBefore reports whether row a precedes row b in a congestion table:
+// more total words first, then the smaller vertex id.
+func ranksBefore(a, b VertexWords) bool {
+	ta, tb := a.SentWords+a.RecvWords, b.SentWords+b.RecvWords
+	if ta != tb {
+		return ta > tb
 	}
-	return rows[:len(rows):len(rows)]
+	return a.Vertex < b.Vertex
+}
+
+// siftUp and siftDown maintain h as a binary heap whose root is the row that
+// ranks last, i.e. the first to be evicted by a better row.
+func siftUp(h []VertexWords, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ranksBefore(h[p], h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []VertexWords, i int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(h) && ranksBefore(h[worst], h[l]) {
+			worst = l
+		}
+		if l+1 < len(h) && ranksBefore(h[worst], h[l+1]) {
+			worst = l + 1
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // PerfettoEvents renders run profiles as Chrome trace-event ("X") entries

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"bedom/internal/graph"
@@ -142,6 +145,51 @@ func TestProbeCongestionTable(t *testing.T) {
 	}
 	if got := pOff.Profiles()[0].Congestion; got != nil {
 		t.Fatalf("TopK=-1 still produced a table of %d rows", len(got))
+	}
+}
+
+// TestCongestionTableMatchesFullSort checks the bounded top-k selection
+// against sorting every vertex with traffic, on random inputs drawn from a
+// small value range so that equal totals (ties on the word count) and
+// vertices without traffic are common.
+func TestCongestionTableMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		sent, recv := make([]int64, n), make([]int64, n)
+		for v := range sent {
+			if rng.Intn(4) > 0 {
+				sent[v] = int64(rng.Intn(5))
+				recv[v] = int64(rng.Intn(5))
+			}
+		}
+		var want []VertexWords
+		for v := range sent {
+			if sent[v] != 0 || recv[v] != 0 {
+				want = append(want, VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			ti := want[i].SentWords + want[i].RecvWords
+			tj := want[j].SentWords + want[j].RecvWords
+			if ti != tj {
+				return ti > tj
+			}
+			return want[i].Vertex < want[j].Vertex
+		})
+		for _, k := range []int{1, 2, 5, 16, n, n + 3} {
+			if k <= 0 {
+				continue
+			}
+			exp := want
+			if len(exp) > k {
+				exp = exp[:k]
+			}
+			got := congestionTable(sent, recv, k)
+			if len(got) != len(exp) || (len(exp) > 0 && !reflect.DeepEqual(got, exp)) {
+				t.Fatalf("trial %d n=%d k=%d:\n got %v\nwant %v", trial, n, k, got, exp)
+			}
+		}
 	}
 }
 

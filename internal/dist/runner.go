@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"bedom/internal/graph"
@@ -17,15 +17,19 @@ type Runner struct {
 	bandwidth int
 	maxRounds int
 
-	// neighbors[v] is the sorted adjacency list of v as []int (the graph
-	// stores int32; converting once up front keeps the hot path free of
-	// per-access conversions and gives Context.Neighbors a stable slice).
-	neighbors [][]int
+	// adj[off[v]:off[v+1]] is the sorted adjacency list of v as []int, every
+	// row carved from one arena (the graph stores int32; converting once up
+	// front keeps the hot path free of per-access conversions and gives
+	// Context.Neighbors a stable slice).
+	adj []int
+	off []int
 
 	nodes   []Node
 	halters []Halter // halters[v] is nil when nodes[v] has no Done method
 	ctxs    []Context
-	inboxes [][]Inbound
+	// workers holds one accumulator and one inbox buffer per worker
+	// goroutine; see pool.go.
+	workers []worker
 
 	// Telemetry state, only allocated when opts.Probe is set (the disabled
 	// path must cost nothing — see probe.go for the contract).
@@ -54,16 +58,29 @@ func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
 		// refined-order protocol stays linear in n with small constants.
 		r.maxRounds = 100*n + 1000
 	}
-	r.neighbors = make([][]int, n)
+	r.off = make([]int, n+1)
 	for v := 0; v < n; v++ {
-		adj := g.NeighborsInts(v)
-		if !sort.IntsAreSorted(adj) {
-			sort.Ints(adj)
+		r.off[v+1] = r.off[v] + g.Degree(v)
+	}
+	r.adj = make([]int, r.off[n])
+	for v := 0; v < n; v++ {
+		row := r.adj[r.off[v]:r.off[v+1]]
+		for i, u := range g.Neighbors(v) {
+			row[i] = int(u)
 		}
-		r.neighbors[v] = adj
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
 	}
 	return r
 }
+
+// neighbors returns the sorted adjacency row of v.  Its capacity ends at the
+// row, so an append by a careless caller copies instead of overwriting the
+// next vertex's row.
+func (r *Runner) neighbors(v int) []int { return r.adj[r.off[v]:r.off[v+1]:r.off[v+1]] }
+
+func (r *Runner) degree(v int) int { return r.off[v+1] - r.off[v] }
 
 // Run instantiates a node per vertex via factory (called sequentially in
 // vertex order, so factories may write to shared result slices), runs Init
@@ -125,13 +142,16 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 		}
 	}
 	r.ctxs = make([]Context, n)
-	r.inboxes = make([][]Inbound, n)
 	for v := 0; v < n; v++ {
 		c := &r.ctxs[v]
 		c.r = r
 		c.v = v
+		for i := range c.boxes {
+			c.boxes[i].bcasts = c.boxes[i].first[:0]
+		}
 		c.out = &c.boxes[0]
 	}
+	r.workers = make([]worker, graph.ResolveWorkers(r.opts.Workers, n))
 	probe := r.opts.Probe
 	if probe != nil {
 		r.sentWords = make([]int64, n)
@@ -140,13 +160,13 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 
 	// Round 0: Init every node (messages land in outbox slot 0).
 	r.round = 0
-	init := r.forEachNode(func(acc *roundAccum, v int) {
+	init := r.forEachNode(func(w *worker, v int) {
 		c := &r.ctxs[v]
 		r.nodes[v].Init(c)
 		c.finishStep()
 		r.accountSends(v)
 		if c.err != nil {
-			acc.errSeen = true
+			w.acc.errSeen = true
 		}
 	})
 	if init.errSeen {
@@ -165,8 +185,8 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 			roundStart = time.Now()
 		}
 		prevSlot, curSlot := (t-1)%2, t%2
-		total := r.forEachNode(func(acc *roundAccum, v int) {
-			r.step(acc, v, prevSlot, curSlot)
+		total := r.forEachNode(func(w *worker, v int) {
+			r.step(w, v, prevSlot, curSlot)
 		})
 		stats.Rounds = t
 		stats.Messages += total.messages
@@ -197,13 +217,16 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 }
 
 // step executes one round for vertex v: gather the inbox from the neighbors'
-// previous-round outboxes, reset the own current outbox, and call Round.
-// Each vertex only reads prev-slot outboxes and writes its own cur-slot
-// outbox, so steps of distinct vertices never conflict.
-func (r *Runner) step(acc *roundAccum, v int, prevSlot, curSlot int) {
+// previous-round outboxes into the worker's inbox buffer, reset the own
+// current outbox, and call Round.  Each vertex only reads prev-slot outboxes
+// and writes its own cur-slot outbox, so steps of distinct vertices never
+// conflict; the inbox buffer is the worker's own and is refilled for the
+// next vertex once Round returns (the Node contract forbids retaining it).
+func (r *Runner) step(w *worker, v int, prevSlot, curSlot int) {
+	acc := &w.acc
 	wordsBefore := acc.words
-	inbox := r.inboxes[v][:0]
-	for _, u := range r.neighbors[v] {
+	inbox := w.inbox[:0]
+	for _, u := range r.neighbors(v) {
 		ob := &r.ctxs[u].boxes[prevSlot]
 		for _, bm := range ob.bcasts {
 			inbox = append(inbox, Inbound{From: u, Msg: bm.msg})
@@ -214,7 +237,7 @@ func (r *Runner) step(acc *roundAccum, v int, prevSlot, curSlot int) {
 			acc.deliver(e.words)
 		}
 	}
-	r.inboxes[v] = inbox
+	w.inbox = inbox
 	if r.recvWords != nil {
 		// Each vertex is stepped by exactly one worker per round, so its
 		// slot is race-free; diffing the accumulator keeps the disabled
@@ -255,7 +278,7 @@ func (r *Runner) accountSends(v int) {
 	}
 	ob := r.ctxs[v].out
 	var w int64
-	if d := int64(len(r.neighbors[v])); d > 0 {
+	if d := int64(r.degree(v)); d > 0 {
 		for _, bm := range ob.bcasts {
 			w += int64(bm.words) * d
 		}

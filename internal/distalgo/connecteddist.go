@@ -2,7 +2,6 @@ package distalgo
 
 import (
 	"fmt"
-	"sort"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -16,11 +15,13 @@ import (
 type markNode struct {
 	id         int
 	inD        bool
-	paths      [][]int // paths from this vertex to its weakly reachable targets
 	maxForward int
 
 	inDPrime bool
-	rounds   int
+	// tok starts out holding a dominator's paths to its weakly reachable
+	// targets (every path of at least two vertices).
+	tok    tokenOut
+	rounds int
 }
 
 func (m *markNode) Init(ctx *dist.Context) {
@@ -28,42 +29,29 @@ func (m *markNode) Init(ctx *dist.Context) {
 		return
 	}
 	m.inDPrime = true
-	var out TokenMessage
-	for _, p := range m.paths {
-		if len(p) >= 2 {
-			out = append(out, p)
-		}
-	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
-	}
+	m.tok.send(ctx)
 }
 
 func (m *markNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	m.rounds++
-	var forward [][]int
 	for _, in := range inbox {
-		toks, ok := in.Msg.(TokenMessage)
+		toks, ok := in.Msg.(*TokenMessage)
 		if !ok {
 			continue
 		}
-		for _, p := range toks {
+		for _, p := range *toks {
 			if len(p) < 2 || p[1] != m.id {
 				continue
 			}
 			m.inDPrime = true
 			rest := p[1:]
 			if len(rest) >= 2 {
-				forward = append(forward, rest)
+				m.tok.next = append(m.tok.next, rest)
 			}
 		}
 	}
-	forward = dedupPaths(forward)
-	if len(forward) > 0 {
-		var out TokenMessage
-		out = append(out, forward...)
-		ctx.Broadcast(out)
-	}
+	m.tok.next = dedupPaths(m.tok.next)
+	m.tok.send(ctx)
 }
 
 func (m *markNode) Done() bool { return m.rounds >= m.maxForward }
@@ -110,21 +98,29 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 	for _, v := range D {
 		inD[v] = true
 	}
-	nodes := make([]*markNode, g.N())
+	// The dominators' initial tokens are carved from one run-wide slab.
+	total := 0
+	for _, v := range D {
+		total += len(wres.Witnesses[v])
+	}
+	slab := make([][]int, 0, total)
+	nodes := make([]markNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "connect"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	mstats, err := runner.Run(func(v int) dist.Node {
-		n := &markNode{id: v, inD: inD[v], maxForward: 2*r + 1}
+		n := &nodes[v]
+		*n = markNode{id: v, inD: inD[v], maxForward: 2*r + 1}
 		if inD[v] {
+			lo := len(slab)
 			for _, pt := range wres.Witnesses[v] {
 				if len(pt.Path) >= 2 {
-					n.paths = append(n.paths, pt.Path)
+					slab = append(slab, pt.Path)
 				}
 			}
+			n.tok.next = slab[lo:len(slab):len(slab)]
 		}
-		nodes[v] = n
 		return n
 	})
 	if err != nil {
@@ -132,14 +128,11 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 	}
 	res.Stats.Add(mstats)
 
-	var set []int
-	for v, nd := range nodes {
-		if nd.inDPrime {
-			set = append(set, v)
+	for v := range nodes {
+		if nodes[v].inDPrime {
+			res.Set = append(res.Set, v)
 		}
 	}
-	sort.Ints(set)
-	res.Set = set
 	return res, nil
 }
 

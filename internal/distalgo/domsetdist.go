@@ -2,7 +2,7 @@ package distalgo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -34,9 +34,9 @@ type electNode struct {
 	witness order.PathTo // witness to min WReach_r (path from this vertex to the target)
 	hasWit  bool
 
-	inSet   bool
-	pending [][]int // tokens to forward next round (remaining paths, self first)
-	rounds  int
+	inSet  bool
+	tok    tokenOut
+	rounds int
 }
 
 func (e *electNode) Init(ctx *dist.Context) {
@@ -48,30 +48,20 @@ func (e *electNode) Init(ctx *dist.Context) {
 		return
 	}
 	// The token travels along the witness path toward the target.
-	e.send(ctx, e.witness.Path)
-}
-
-func (e *electNode) send(ctx *dist.Context, paths ...[]int) {
-	var out TokenMessage
-	for _, p := range paths {
-		if len(p) >= 2 {
-			out = append(out, p)
-		}
+	if len(e.witness.Path) >= 2 {
+		e.tok.next = append(e.tok.next, e.witness.Path)
 	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
-	}
+	e.tok.send(ctx)
 }
 
 func (e *electNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	e.rounds++
-	var forward [][]int
 	for _, in := range inbox {
-		toks, ok := in.Msg.(TokenMessage)
+		toks, ok := in.Msg.(*TokenMessage)
 		if !ok {
 			continue
 		}
-		for _, p := range toks {
+		for _, p := range *toks {
 			// p = [holder, next, ..., target]; we act only if we are next.
 			if len(p) < 2 || p[1] != e.id {
 				continue
@@ -82,50 +72,40 @@ func (e *electNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 				e.inSet = true
 				continue
 			}
-			forward = append(forward, rest)
+			e.tok.next = append(e.tok.next, rest)
 		}
 	}
-	forward = dedupPaths(forward)
-	if len(forward) > 0 {
-		e.send(ctx, forward...)
-	}
+	e.tok.next = dedupPaths(e.tok.next)
+	e.tok.send(ctx)
 }
 
 func (e *electNode) Done() bool { return e.rounds >= e.r }
 
+// tokenOut holds the tokens a node sends next and recycles the arrays of
+// its sent token messages (see sendBuffers).  Receivers copy the tokens they
+// forward into their own tokenOut; the paths themselves are never written.
+type tokenOut struct {
+	sent sendBuffers[TokenMessage]
+	next TokenMessage
+}
+
+// send broadcasts the queued tokens, if any.
+func (t *tokenOut) send(ctx *dist.Context) {
+	if len(t.next) == 0 {
+		return
+	}
+	msg, recycled := t.sent.swap(t.next)
+	t.next = recycled[:0]
+	ctx.Broadcast(msg)
+}
+
+// dedupPaths sorts paths lexicographically and drops duplicates, in place.
 func dedupPaths(paths [][]int) [][]int {
 	if len(paths) <= 1 {
 		return paths
 	}
-	sort.Slice(paths, func(i, j int) bool {
-		a, b := paths[i], paths[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	out := paths[:1]
-	for _, p := range paths[1:] {
-		last := out[len(out)-1]
-		if !equalPath(last, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func equalPath(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(paths, slices.Compare)
+	return slices.CompactFunc(paths, slices.Equal)
 }
 
 // DomSetResult is the outcome of the distributed distance-r dominating set
@@ -192,29 +172,28 @@ func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*Dom
 
 // runElection runs the routing/election phase shared by Theorems 9 and 10.
 func runElection(g *graph.Graph, witnesses [][]order.PathTo, r int, model dist.Model, opts dist.Options) ([]int, dist.Stats, error) {
-	nodes := make([]*electNode, g.N())
+	nodes := make([]electNode, g.N())
+	// Every node's first token message has room for its one token.
+	first := make([][]int, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "election"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		n := &electNode{id: v, r: r}
-		if wit, ok := MinTarget(witnesses[v], r); ok {
-			n.witness = wit
-			n.hasWit = true
-		}
-		nodes[v] = n
+		n := &nodes[v]
+		*n = electNode{id: v, r: r}
+		n.witness, n.hasWit = MinTarget(witnesses[v], r)
+		n.tok.next = first[v : v : v+1]
 		return n
 	})
 	if err != nil {
 		return nil, stats, fmt.Errorf("distalgo: election failed: %w", err)
 	}
 	var set []int
-	for v, nd := range nodes {
-		if nd.inSet {
+	for v := range nodes {
+		if nodes[v].inSet {
 			set = append(set, v)
 		}
 	}
-	sort.Ints(set)
 	return set, stats, nil
 }

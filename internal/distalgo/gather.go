@@ -1,7 +1,8 @@
 package distalgo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bedom/internal/graph"
 )
@@ -9,6 +10,8 @@ import (
 // VertexInfo is the knowledge record a node shares about itself during
 // LOCAL-model neighborhood gathering: its id, a boolean payload (dominator /
 // set-membership flag, depending on the algorithm) and its adjacency list.
+// Adj is the owner's Context.Neighbors slice, shared by every copy of the
+// record and never modified.
 type VertexInfo struct {
 	ID   int
 	Flag bool
@@ -32,39 +35,54 @@ func (m KnowledgeMessage) Words() int {
 // ballGatherer accumulates knowledge records: after t exchange rounds a node
 // knows the records of every vertex within distance t.
 type ballGatherer struct {
-	know  map[int]VertexInfo
-	fresh []VertexInfo
+	ids idSet
+	// recs holds every known record; recs[flushed:] are the ones learned
+	// since the last flush.  A flushed message is a subslice of recs: the
+	// records in it are never written again, and later appends only write
+	// past it, so receivers may read it while the owner keeps gathering.
+	recs    []VertexInfo
+	flushed int
+	sent    sendBuffers[KnowledgeMessage]
 }
 
-func newBallGatherer(self VertexInfo) *ballGatherer {
-	return &ballGatherer{
-		know:  map[int]VertexInfo{self.ID: self},
-		fresh: []VertexInfo{self},
+// seed starts the gatherer with the owner's own record.  The ball holds at
+// least the owner and its neighbors, so room for those is reserved.
+func (b *ballGatherer) seed(self VertexInfo) {
+	b.ids.reserve(len(self.Adj) + 1)
+	b.recs = make([]VertexInfo, 0, len(self.Adj)+1)
+	b.add(self)
+}
+
+// add records vi unless it is already known.
+func (b *ballGatherer) add(vi VertexInfo) {
+	if b.ids.insert(vi.ID) {
+		b.recs = append(b.recs, vi)
 	}
 }
 
 // absorb merges incoming records, remembering which ones are new so they can
 // be forwarded exactly once.
-func (b *ballGatherer) absorb(msg KnowledgeMessage) {
-	for _, vi := range msg {
-		if _, ok := b.know[vi.ID]; !ok {
-			b.know[vi.ID] = vi
-			b.fresh = append(b.fresh, vi)
-		}
+func (b *ballGatherer) absorb(msg *KnowledgeMessage) {
+	for _, vi := range *msg {
+		b.add(vi)
 	}
 }
 
-// flush returns the records learned since the last flush (to broadcast) and
-// clears the fresh list.
-func (b *ballGatherer) flush() KnowledgeMessage {
-	if len(b.fresh) == 0 {
+// known returns the number of known records.
+func (b *ballGatherer) known() int { return len(b.recs) }
+
+// flush returns the records learned since the last flush, sorted by id, as
+// a message to broadcast (nil when there are none).
+func (b *ballGatherer) flush() *KnowledgeMessage {
+	n := len(b.recs)
+	if b.flushed == n {
 		return nil
 	}
-	out := make(KnowledgeMessage, len(b.fresh))
-	copy(out, b.fresh)
-	b.fresh = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	fresh := b.recs[b.flushed:n:n]
+	slices.SortFunc(fresh, func(x, y VertexInfo) int { return cmp.Compare(x.ID, y.ID) })
+	b.flushed = n
+	msg, _ := b.sent.swap(fresh)
+	return msg
 }
 
 // localView materialises the gathered knowledge as a graph on the known
@@ -74,19 +92,17 @@ func (b *ballGatherer) flush() KnowledgeMessage {
 // the other (records are symmetric in a correct run, but partial knowledge
 // at the ball boundary may be one-sided).
 func (b *ballGatherer) localView() (lg *graph.Graph, toGlobal []int, toLocal map[int]int, flags []bool) {
-	toGlobal = make([]int, 0, len(b.know))
-	for id := range b.know {
-		toGlobal = append(toGlobal, id)
+	recs := slices.Clone(b.recs)
+	slices.SortFunc(recs, func(x, y VertexInfo) int { return cmp.Compare(x.ID, y.ID) })
+	toGlobal = make([]int, len(recs))
+	toLocal = make(map[int]int, len(recs))
+	for i, rec := range recs {
+		toGlobal[i] = rec.ID
+		toLocal[rec.ID] = i
 	}
-	sort.Ints(toGlobal)
-	toLocal = make(map[int]int, len(toGlobal))
-	for i, id := range toGlobal {
-		toLocal[id] = i
-	}
-	lg = graph.New(len(toGlobal))
-	flags = make([]bool, len(toGlobal))
-	for i, id := range toGlobal {
-		rec := b.know[id]
+	lg = graph.New(len(recs))
+	flags = make([]bool, len(recs))
+	for i, rec := range recs {
 		flags[i] = rec.Flag
 		for _, nb := range rec.Adj {
 			if j, ok := toLocal[nb]; ok && i != j && !lg.HasEdge(i, j) {

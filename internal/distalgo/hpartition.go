@@ -1,8 +1,9 @@
 package distalgo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -30,13 +31,12 @@ type HPartitionResult struct {
 // current class and announces it.  Nodes only ever broadcast a single word
 // (their activity status), so the protocol runs in CONGEST_BC.
 type hpartitionNode struct {
-	id        int
 	threshold int
 	active    bool
 	class     int
-	// activeNeighbors tracks which neighbors are still active according to
-	// the most recent announcements.
-	activeNeighbors map[int]bool
+	// activeNeighbors counts the neighbors that have not announced joining
+	// yet; every neighbor announces "inactive" exactly once.
+	activeNeighbors int
 	finished        bool
 }
 
@@ -48,24 +48,21 @@ const (
 
 func (h *hpartitionNode) Init(ctx *dist.Context) {
 	h.active = true
-	h.activeNeighbors = make(map[int]bool, ctx.Degree())
-	for _, u := range ctx.Neighbors() {
-		h.activeNeighbors[u] = true
-	}
+	h.activeNeighbors = ctx.Degree()
 	ctx.Broadcast(dist.IntMessage(msgActive))
 }
 
 func (h *hpartitionNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	for _, in := range inbox {
 		if int(in.Msg.(dist.IntMessage)) == msgInactive {
-			delete(h.activeNeighbors, in.From)
+			h.activeNeighbors--
 		}
 	}
 	if !h.active {
 		h.finished = true
 		return
 	}
-	if len(h.activeNeighbors) <= h.threshold {
+	if h.activeNeighbors <= h.threshold {
 		// Join the class of the current phase.
 		h.active = false
 		h.class = ctx.Round()
@@ -90,20 +87,21 @@ func RunHPartition(g *graph.Graph, model dist.Model, a int, eps float64, opts di
 		eps = 1
 	}
 	threshold := int(float64(a) * (2 + eps))
-	nodes := make([]*hpartitionNode, g.N())
+	nodes := make([]hpartitionNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "hpartition"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &hpartitionNode{id: v, threshold: threshold}
-		return nodes[v]
+		nodes[v] = hpartitionNode{threshold: threshold}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: H-partition failed: %w", err)
 	}
 	res := &HPartitionResult{Class: make([]int, g.N()), Stats: stats}
-	for v, nd := range nodes {
+	for v := range nodes {
+		nd := &nodes[v]
 		res.Class[v] = nd.class
 		if nd.class > res.NumClasses {
 			res.NumClasses = nd.class
@@ -123,12 +121,11 @@ func OrderFromClasses(class []int) *order.Order {
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
+	slices.SortFunc(perm, func(a, b int) int {
 		if class[a] != class[b] {
-			return class[a] > class[b]
+			return cmp.Compare(class[b], class[a])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	o, err := order.FromPermutation(perm)
 	if err != nil {

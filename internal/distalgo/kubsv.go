@@ -1,7 +1,9 @@
 package distalgo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -124,36 +126,17 @@ type ksvMessage struct {
 // Words implements dist.Message: one word for the phase tag, two per record.
 func (m ksvMessage) Words() int { return 1 + 2*len(m.Recs) }
 
-// ksvFlood is a hop-limited flooding accumulator: records are absorbed at
-// most once and forwarded exactly once (the round windows in ksvNode bound
-// the flooding radius).
+// ksvFlood is the state of one hop-limited flood at a node.  Records are
+// absorbed at most once and forwarded exactly once (the round windows in
+// ksvNode bound the flooding radius; the node's id set dedups them).  Of
+// the absorbed records a flood keeps only what the phase boundaries read:
+// their number, the record with the largest (Val, −ID), and whether the
+// node's own id is among them.
 type ksvFlood struct {
-	known map[int]int
-	fresh []ksvRecord
-}
-
-func (f *ksvFlood) add(id, val int) {
-	if _, ok := f.known[id]; ok {
-		return
-	}
-	f.known[id] = val
-	f.fresh = append(f.fresh, ksvRecord{ID: id, Val: val})
-}
-
-func (f *ksvFlood) absorb(recs []ksvRecord) {
-	for _, rec := range recs {
-		f.add(rec.ID, rec.Val)
-	}
-}
-
-func (f *ksvFlood) flush(phase uint8) (ksvMessage, bool) {
-	if len(f.fresh) == 0 {
-		return ksvMessage{}, false
-	}
-	out := f.fresh
-	f.fresh = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return ksvMessage{Phase: phase, Recs: out}, true
+	phase   uint8
+	count   int
+	best    ksvRecord // valid when count > 0
+	hasSelf bool
 }
 
 // ksvNode is the distributed implementation.  Round structure (7r rounds):
@@ -169,7 +152,7 @@ type ksvNode struct {
 	r      int
 	rounds int
 
-	gather  *ballGatherer
+	gather  ballGatherer
 	c       int
 	cFlood  ksvFlood // (id, c) within distance 2r
 	elected bool
@@ -179,49 +162,102 @@ type ksvNode struct {
 	ddFlood ksvFlood // (id, c') within distance r
 	noFlood ksvFlood // nominated ids within distance r
 	inSet   bool
+
+	// seen holds id<<3 | phase for every record absorbed by any flood
+	// (ids below 2²⁸, far beyond the graphs the simulator can hold).
+	seen idSet
+	// fresh holds the records to forward at the end of this round: those
+	// new to the flood whose forwarding window is open.  A flood receives
+	// records one round past its window, when they only update its tally.
+	fresh []ksvRecord
+	sent  sendBuffers[ksvMessage]
 }
 
 func (k *ksvNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: k.id, Adj: append([]int(nil), ctx.Neighbors()...)}
-	k.gather = newBallGatherer(self)
-	for _, f := range []*ksvFlood{&k.cFlood, &k.elFlood, &k.unFlood, &k.ddFlood, &k.noFlood} {
-		f.known = make(map[int]int)
-	}
+	k.gather.seed(VertexInfo{ID: k.id, Adj: ctx.Neighbors()})
+	k.cFlood.phase = ksvPhaseCount
+	k.elFlood.phase = ksvPhaseElect
+	k.unFlood.phase = ksvPhaseUncov
+	k.ddFlood.phase = ksvPhaseDemand
+	k.noFlood.phase = ksvPhaseNominate
 	ctx.Broadcast(k.gather.flush())
+}
+
+// forwarding returns the flood whose forwarding window contains round t
+// (nil while the r-ball is gathered and after the last window): one
+// broadcast per round, so the protocol is also legal in CONGEST_BC.
+func (k *ksvNode) forwarding(t int) *ksvFlood {
+	r := k.r
+	switch {
+	case t < r:
+		return nil
+	case t < 3*r:
+		return &k.cFlood
+	case t < 4*r:
+		return &k.elFlood
+	case t < 5*r:
+		return &k.unFlood
+	case t < 6*r:
+		return &k.ddFlood
+	case t < 7*r:
+		return &k.noFlood
+	}
+	return nil
+}
+
+// absorb folds records into flood f, queueing the new ones for forwarding
+// when f is the flood fwd whose window is open.
+func (k *ksvNode) absorb(f, fwd *ksvFlood, recs ...ksvRecord) {
+	for _, rec := range recs {
+		if !k.seen.insert(rec.ID<<3 | int(f.phase)) {
+			continue
+		}
+		f.count++
+		if f.count == 1 || rec.Val > f.best.Val || (rec.Val == f.best.Val && rec.ID < f.best.ID) {
+			f.best = rec
+		}
+		if rec.ID == k.id {
+			f.hasSelf = true
+		}
+		if f == fwd {
+			k.fresh = append(k.fresh, rec)
+		}
+	}
 }
 
 func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	k.rounds++
 	t, r := k.rounds, k.r
+	fwd := k.forwarding(t)
 	// Absorb within each phase's window (a record of phase p sent at the
 	// window's last forwarding round arrives one round later, so the absorb
-	// windows extend one round past the forwarding windows below).
+	// windows extend one round past the forwarding windows).
 	for _, in := range inbox {
 		switch msg := in.Msg.(type) {
-		case KnowledgeMessage:
+		case *KnowledgeMessage:
 			if t <= r {
 				k.gather.absorb(msg)
 			}
-		case ksvMessage:
+		case *ksvMessage:
 			switch msg.Phase {
 			case ksvPhaseCount:
 				if t <= 3*r {
-					k.cFlood.absorb(msg.Recs)
+					k.absorb(&k.cFlood, fwd, msg.Recs...)
 				}
 			case ksvPhaseElect:
 				if t <= 4*r {
-					k.elFlood.absorb(msg.Recs)
+					k.absorb(&k.elFlood, fwd, msg.Recs...)
 				}
 			case ksvPhaseUncov:
 				if t <= 5*r {
-					k.unFlood.absorb(msg.Recs)
+					k.absorb(&k.unFlood, fwd, msg.Recs...)
 				}
 			case ksvPhaseDemand:
 				if t <= 6*r {
-					k.ddFlood.absorb(msg.Recs)
+					k.absorb(&k.ddFlood, fwd, msg.Recs...)
 				}
 			case ksvPhaseNominate:
-				k.noFlood.absorb(msg.Recs)
+				k.absorb(&k.noFlood, fwd, msg.Recs...)
 			}
 		}
 	}
@@ -230,65 +266,50 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	switch t {
 	case r:
 		// The gatherer holds exactly the records of B_r(self).
-		k.c = len(k.gather.know)
-		k.cFlood.add(k.id, k.c)
+		k.c = k.gather.known()
+		// The floods ahead record B_2r once and parts of B_r four times;
+		// 4c ids and two 2c-record send buffers fit most balls of sparse
+		// graphs.
+		k.seen.reserve(4 * k.c)
+		buf := make([]ksvRecord, 4*k.c)
+		k.fresh = buf[: 0 : 2*k.c]
+		k.sent.setSpare(ksvMessage{Recs: buf[2*k.c : 2*k.c : 4*k.c]})
+		k.absorb(&k.cFlood, fwd, ksvRecord{k.id, k.c})
 	case 3 * r:
-		k.elected = true
-		for id, c := range k.cFlood.known {
-			if c > k.c || (c == k.c && id < k.id) {
-				k.elected = false
-				break
-			}
-		}
+		// Elected iff (c, −id) is maximal over the 2r-ball; the own record
+		// is in the flood, so the maximum is this vertex exactly then.
+		k.elected = k.cFlood.best.ID == k.id
 		if k.elected {
 			k.inSet = true
-			k.elFlood.add(k.id, 0)
+			k.absorb(&k.elFlood, fwd, ksvRecord{k.id, 0})
 		}
 	case 4 * r:
-		k.covered = len(k.elFlood.known) > 0
+		k.covered = k.elFlood.count > 0
 		if !k.covered {
-			k.unFlood.add(k.id, 0)
+			k.absorb(&k.unFlood, fwd, ksvRecord{k.id, 0})
 		}
 	case 5 * r:
 		// Demand = |B_r(self) ∩ U| (self included when uncovered).
-		k.ddFlood.add(k.id, len(k.unFlood.known))
+		k.absorb(&k.ddFlood, fwd, ksvRecord{k.id, k.unFlood.count})
 	case 6 * r:
 		if !k.covered {
-			best, bestD := k.id, k.ddFlood.known[k.id]
-			for id, d := range k.ddFlood.known {
-				if d > bestD || (d == bestD && id < best) {
-					best, bestD = id, d
-				}
-			}
-			if best == k.id {
+			// The best (c', −id) over B_r(self), own record included.
+			if best := k.ddFlood.best.ID; best == k.id {
 				k.inSet = true
 			} else {
-				k.noFlood.add(best, 0)
+				k.absorb(&k.noFlood, fwd, ksvRecord{best, 0})
 			}
 		}
 	}
-	// Forward the flood whose window is open (at most one broadcast per
-	// round, so the protocol is also legal in CONGEST_BC).
 	switch {
 	case t < r:
 		if msg := k.gather.flush(); msg != nil {
 			ctx.Broadcast(msg)
 		}
-	case t < 3*r:
-		k.broadcast(ctx, &k.cFlood, ksvPhaseCount)
-	case t < 4*r:
-		k.broadcast(ctx, &k.elFlood, ksvPhaseElect)
-	case t < 5*r:
-		k.broadcast(ctx, &k.unFlood, ksvPhaseUncov)
-	case t < 6*r:
-		k.broadcast(ctx, &k.ddFlood, ksvPhaseDemand)
-	case t < 7*r:
-		k.broadcast(ctx, &k.noFlood, ksvPhaseNominate)
-	}
-}
-
-func (k *ksvNode) broadcast(ctx *dist.Context, f *ksvFlood, phase uint8) {
-	if msg, ok := f.flush(phase); ok {
+	case fwd != nil && len(k.fresh) > 0:
+		slices.SortFunc(k.fresh, func(a, b ksvRecord) int { return cmp.Compare(a.ID, b.ID) })
+		msg, recycled := k.sent.swap(ksvMessage{Phase: fwd.phase, Recs: k.fresh})
+		k.fresh = recycled.Recs[:0]
 		ctx.Broadcast(msg)
 	}
 }
@@ -317,27 +338,27 @@ func RunKSV(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*KSVRes
 	if g.N() == 0 {
 		return &KSVResult{}, nil
 	}
-	nodes := make([]*ksvNode, g.N())
+	nodes := make([]ksvNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "kubsv"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &ksvNode{id: v, r: r}
-		return nodes[v]
+		nodes[v] = ksvNode{id: v, r: r}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &KSVResult{Stats: stats}
-	for v, nd := range nodes {
-		if _, nominated := nd.noFlood.known[v]; nd.inSet || nominated {
+	for v := range nodes {
+		nd := &nodes[v]
+		if nd.inSet || nd.noFlood.hasSelf {
 			res.Set = append(res.Set, v)
 		}
 		if nd.elected {
 			res.NumElected++
 		}
 	}
-	sort.Ints(res.Set)
 	return res, nil
 }

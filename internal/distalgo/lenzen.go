@@ -141,7 +141,7 @@ func LenzenSequential(g *graph.Graph) []int {
 //	round  7      chosen vertices notice they were selected
 type lenzenNode struct {
 	id     int
-	gather *ballGatherer
+	gather ballGatherer
 	rounds int
 
 	inA          bool
@@ -153,8 +153,8 @@ type lenzenNode struct {
 }
 
 func (l *lenzenNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: l.id, Adj: append([]int(nil), ctx.Neighbors()...)}
-	l.gather = newBallGatherer(self)
+	self := VertexInfo{ID: l.id, Adj: ctx.Neighbors()}
+	l.gather.seed(self)
 	l.neighborDomA = make(map[int]bool)
 	l.white = make(map[int]int)
 	ctx.Broadcast(l.gather.flush())
@@ -165,7 +165,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	switch l.rounds {
 	case 1:
 		for _, in := range inbox {
-			if msg, ok := in.Msg.(KnowledgeMessage); ok {
+			if msg, ok := in.Msg.(*KnowledgeMessage); ok {
 				l.gather.absorb(msg)
 			}
 		}
@@ -174,7 +174,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		}
 	case 2:
 		for _, in := range inbox {
-			if msg, ok := in.Msg.(KnowledgeMessage); ok {
+			if msg, ok := in.Msg.(*KnowledgeMessage); ok {
 				l.gather.absorb(msg)
 			}
 		}
@@ -264,20 +264,21 @@ type LenzenResult struct {
 // model.  It is intended for planar graphs (where it guarantees a constant
 // approximation factor) but produces a valid dominating set on every graph.
 func RunLenzen(g *graph.Graph, opts dist.Options) (*LenzenResult, error) {
-	nodes := make([]*lenzenNode, g.N())
+	nodes := make([]lenzenNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "lenzen"
 	}
 	runner := dist.NewRunner(g, dist.Local, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &lenzenNode{id: v}
-		return nodes[v]
+		nodes[v] = lenzenNode{id: v}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &LenzenResult{Stats: stats}
-	for v, nd := range nodes {
+	for v := range nodes {
+		nd := &nodes[v]
 		if nd.inA || nd.chosen {
 			res.Set = append(res.Set, v)
 		}

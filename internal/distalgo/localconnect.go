@@ -22,7 +22,8 @@ type localConnectNode struct {
 	r   int
 	inD bool
 
-	gather   *ballGatherer
+	gather   ballGatherer
+	tok      tokenOut
 	inDPrime bool
 	rounds   int
 	gatherT  int // number of gathering rounds (2r+1)
@@ -35,25 +36,24 @@ func (l *localConnectNode) Init(ctx *dist.Context) {
 	if l.inD {
 		l.inDPrime = true
 	}
-	self := VertexInfo{ID: l.id, Flag: l.inD, Adj: append([]int(nil), ctx.Neighbors()...)}
-	l.gather = newBallGatherer(self)
+	self := VertexInfo{ID: l.id, Flag: l.inD, Adj: ctx.Neighbors()}
+	l.gather.seed(self)
 	ctx.Broadcast(l.gather.flush())
 }
 
 func (l *localConnectNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	l.rounds++
-	var tokens [][]int
 	for _, in := range inbox {
 		switch msg := in.Msg.(type) {
-		case KnowledgeMessage:
+		case *KnowledgeMessage:
 			l.gather.absorb(msg)
-		case TokenMessage:
-			for _, p := range msg {
+		case *TokenMessage:
+			for _, p := range *msg {
 				if len(p) >= 2 && p[1] == l.id {
 					l.inDPrime = true
 					rest := p[1:]
 					if len(rest) >= 2 {
-						tokens = append(tokens, rest)
+						l.tok.next = append(l.tok.next, rest)
 					}
 				}
 			}
@@ -69,16 +69,13 @@ func (l *localConnectNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		// Knowledge of the (2r+1)-ball is complete; dominators compute their
 		// connection paths and emit the first notification tokens.
 		if l.inD {
-			if out := l.planTokens(); len(out) > 0 {
-				ctx.Broadcast(TokenMessage(out))
-			}
+			l.tok.next = append(l.tok.next, l.planTokens()...)
+			l.tok.send(ctx)
 		}
 	default:
 		// Forwarding phase.
-		tokens = dedupPaths(tokens)
-		if len(tokens) > 0 {
-			ctx.Broadcast(TokenMessage(tokens))
-		}
+		l.tok.next = dedupPaths(l.tok.next)
+		l.tok.send(ctx)
 	}
 }
 
@@ -196,24 +193,23 @@ func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*Loca
 		}
 		inD[v] = true
 	}
-	nodes := make([]*localConnectNode, g.N())
+	nodes := make([]localConnectNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "local-connect"
 	}
 	runner := dist.NewRunner(g, dist.Local, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &localConnectNode{id: v, r: r, inD: inD[v]}
-		return nodes[v]
+		nodes[v] = localConnectNode{id: v, r: r, inD: inD[v]}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: LOCAL connector failed: %w", err)
 	}
 	var set []int
-	for v, nd := range nodes {
-		if nd.inDPrime {
+	for v := range nodes {
+		if nodes[v].inDPrime {
 			set = append(set, v)
 		}
 	}
-	sort.Ints(set)
 	return &LocalConnectorResult{R: r, Set: set, Stats: stats}, nil
 }

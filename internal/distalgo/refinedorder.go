@@ -75,6 +75,7 @@ type refinedNode struct {
 	idleRounds int
 	// announced reports whether the join announcement has been sent.
 	announced bool
+	tok       tokenOut
 	maxRounds int
 }
 
@@ -85,7 +86,6 @@ func (rn *refinedNode) Init(ctx *dist.Context) {
 	rn.pendingJoins = make(map[int]bool)
 	// Originate hello tokens along every witness path (skip the self
 	// witness).
-	var out TokenMessage
 	for _, pt := range rn.witnesses {
 		if pt.Target == rn.id || len(pt.Path) < 2 {
 			continue
@@ -93,12 +93,9 @@ func (rn *refinedNode) Init(ctx *dist.Context) {
 		// Record the shortcut edge locally.
 		rn.shortcut[pt.Target] = append([]int(nil), pt.Path...)
 		rn.activeNeighbors[pt.Target] = true
-		tok := append([]int{tokHello, 0}, pt.Path...)
-		out = append(out, tok)
+		rn.tok.next = append(rn.tok.next, append([]int{tokHello, 0}, pt.Path...))
 	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
-	}
+	rn.tok.send(ctx)
 }
 
 // handleToken processes a token whose next hop is this vertex and returns the
@@ -150,16 +147,15 @@ func (rn *refinedNode) handleToken(tok []int) []int {
 func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	rn.rounds++
 	sawToken := false
-	var forward [][]int
 	for _, in := range inbox {
-		toks, ok := in.Msg.(TokenMessage)
+		toks, ok := in.Msg.(*TokenMessage)
 		if !ok {
 			continue
 		}
-		for _, tok := range toks {
+		for _, tok := range *toks {
 			sawToken = true
 			if cont := rn.handleToken(tok); cont != nil {
-				forward = append(forward, cont)
+				rn.tok.next = append(rn.tok.next, cont)
 			}
 		}
 	}
@@ -191,13 +187,11 @@ func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			if len(path) < 2 {
 				continue
 			}
-			forward = append(forward, append([]int{tokJoin, 0}, path...))
+			rn.tok.next = append(rn.tok.next, append([]int{tokJoin, 0}, path...))
 		}
 	}
-	forward = dedupPaths(forward)
-	if len(forward) > 0 {
-		ctx.Broadcast(TokenMessage(forward))
-	}
+	rn.tok.next = dedupPaths(rn.tok.next)
+	rn.tok.send(ctx)
 }
 
 func (rn *refinedNode) Done() bool {
@@ -263,7 +257,7 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		threshold = avg
 	}
 
-	nodes := make([]*refinedNode, g.N())
+	nodes := make([]refinedNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "refined-order"
 	}
@@ -273,14 +267,14 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		maxRounds = 20 * (g.N() + 10)
 	}
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &refinedNode{
+		nodes[v] = refinedNode{
 			id:        v,
 			horizon:   horizon,
 			threshold: threshold,
 			witnesses: wres.Witnesses[v],
 			maxRounds: maxRounds,
 		}
-		return nodes[v]
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: relayed H-partition failed: %w", err)
@@ -288,8 +282,8 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 	res.Stats.Add(stats)
 
 	classes := make([]int, g.N())
-	for v, nd := range nodes {
-		classes[v] = nd.class
+	for v := range nodes {
+		classes[v] = nodes[v].class
 	}
 	res.Order = OrderFromClasses(classes)
 	return res, nil

@@ -1,8 +1,9 @@
 package distalgo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -11,17 +12,30 @@ import (
 
 // PathsMessage is the wire format of Algorithm 4: a set of paths, each path
 // a vertex sequence starting at the weakly reachable target and ending at
-// the broadcasting vertex.  Its size is the total number of vertex ids
-// carried.
-type PathsMessage [][]int
+// the broadcasting vertex.  The paths are spans of the sender's path arena
+// (see wreachNode), so a message carries no pointer per path.  Its size is
+// the total number of vertex ids carried.
+type PathsMessage struct {
+	arena []int
+	spans []pathSpan
+}
+
+// pathSpan locates one path in an arena: arena[off : off+n].
+type pathSpan struct{ off, n int32 }
 
 // Words implements dist.Message.
-func (m PathsMessage) Words() int {
+func (m *PathsMessage) Words() int {
 	w := 0
-	for _, p := range m {
-		w += len(p)
+	for _, s := range m.spans {
+		w += int(s.n)
 	}
 	return w
+}
+
+// path returns the i-th path of m.  It must not be modified.
+func (m *PathsMessage) path(i int) []int {
+	s := m.spans[i]
+	return m.arena[s.off : s.off+s.n : s.off+s.n]
 }
 
 // wreachNode implements Algorithm 4 (WReachDist) of the paper.  Every vertex
@@ -34,53 +48,73 @@ type wreachNode struct {
 	pos     []int // pos[v] = super-id (position in L) of vertex v
 	horizon int
 
-	// best[target] = best path from target to this vertex (target first,
-	// this vertex last).
-	best map[int][]int
-	// toSend accumulates paths adopted this round, to broadcast next round.
-	toSend    [][]int
+	// entries holds, sorted by target id, the best path from every
+	// discovered target to this vertex.  Entries hold no pointers, so
+	// inserting one moves plain memory.
+	entries []wreachEntry
+	// arena holds every adopted path (target first, this vertex last),
+	// appended and never written again: a sent path stays valid for its
+	// receivers even after a later append moves the arena, and a replaced
+	// path simply stays behind.
+	arena     []int
+	sent      sendBuffers[PathsMessage]
+	spans     []pathSpan // the paths of the next broadcast
 	roundsRun int
 }
 
+// wreachEntry is the best known path from one target, stamped with the
+// round in which it was adopted (0 = Init).
+type wreachEntry struct {
+	target  int32
+	adopted int32
+	pathSpan
+}
+
+// path returns the stored path of e.
+func (w *wreachNode) path(e wreachEntry) []int {
+	return w.arena[e.off : e.off+e.n : e.off+e.n]
+}
+
 func (w *wreachNode) Init(ctx *dist.Context) {
-	w.best = map[int][]int{w.id: {w.id}}
 	// Round 0: broadcast the trivial path consisting of the own super-id.
-	ctx.Broadcast(PathsMessage{{w.id}})
+	self := w.adopt(int32(w.id), nil)
+	w.entries = append(w.entries, self)
+	w.broadcast(ctx, append(w.spans, self.pathSpan))
 }
 
 func (w *wreachNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	w.roundsRun++
-	adopted := make(map[int][]int)
 	for _, in := range inbox {
-		paths, ok := in.Msg.(PathsMessage)
+		msg, ok := in.Msg.(*PathsMessage)
 		if !ok {
 			continue
 		}
-		for _, p := range paths {
-			w.consider(p, adopted)
+		for i := range msg.spans {
+			w.consider(msg.path(i))
 		}
 	}
-	// Broadcast the adopted paths that can still grow (length < horizon).
-	var out PathsMessage
-	keys := make([]int, 0, len(adopted))
-	for t := range adopted {
-		keys = append(keys, t)
-	}
-	sort.Ints(keys)
-	for _, t := range keys {
-		p := adopted[t]
-		if len(p)-1 < w.horizon {
-			out = append(out, p)
+	// Broadcast the paths adopted this round that can still grow (length <
+	// horizon), in target order.
+	spans := w.spans
+	for _, e := range w.entries {
+		if int(e.adopted) == w.roundsRun && int(e.n)-1 < w.horizon {
+			spans = append(spans, e.pathSpan)
 		}
 	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
+	if len(spans) > 0 {
+		w.broadcast(ctx, spans)
 	}
+}
+
+func (w *wreachNode) broadcast(ctx *dist.Context, spans []pathSpan) {
+	msg, recycled := w.sent.swap(PathsMessage{arena: w.arena, spans: spans})
+	w.spans = recycled.spans[:0]
+	ctx.Broadcast(msg)
 }
 
 // consider examines a received path (target … sender) and adopts its
 // extension by this vertex if it is an improvement.
-func (w *wreachNode) consider(p []int, adopted map[int][]int) {
+func (w *wreachNode) consider(p []int) {
 	if len(p) == 0 {
 		return
 	}
@@ -99,28 +133,52 @@ func (w *wreachNode) consider(p []int, adopted map[int][]int) {
 			return
 		}
 	}
-	cand := make([]int, len(p)+1)
-	copy(cand, p)
-	cand[len(p)] = w.id
-	cur, have := w.best[target]
-	if !have || w.pathBetter(cand, cur) {
-		w.best[target] = cand
-		adopted[target] = cand
+	i, have := w.find(target)
+	if have {
+		if w.extensionBetter(p, w.path(w.entries[i])) {
+			w.entries[i] = w.adopt(int32(target), p)
+		}
+		return
 	}
+	w.entries = slices.Insert(w.entries, i, w.adopt(int32(target), p))
 }
 
-// pathBetter reports whether a is strictly better than b: shorter, or of
-// equal length and lexicographically smaller with respect to super-ids.
-func (w *wreachNode) pathBetter(a, b []int) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	for i := range a {
-		if w.pos[a[i]] != w.pos[b[i]] {
-			return w.pos[a[i]] < w.pos[b[i]]
+// find returns the index of target's entry, or the index where it belongs.
+func (w *wreachNode) find(target int) (int, bool) {
+	lo, hi := 0, len(w.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(w.entries[m].target) < target {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	return lo, lo < len(w.entries) && int(w.entries[lo].target) == target
+}
+
+// extensionBetter reports whether p extended by this vertex is strictly
+// better than the stored path b: shorter, or of equal length and
+// lexicographically smaller with respect to super-ids.
+func (w *wreachNode) extensionBetter(p, b []int) bool {
+	if len(p)+1 != len(b) {
+		return len(p)+1 < len(b)
+	}
+	for i := range p {
+		if w.pos[p[i]] != w.pos[b[i]] {
+			return w.pos[p[i]] < w.pos[b[i]]
+		}
+	}
+	// Both paths end at this vertex.
 	return false
+}
+
+// adopt appends p followed by this vertex to the arena and returns the
+// entry for it, stamped with the current round.
+func (w *wreachNode) adopt(target int32, p []int) wreachEntry {
+	off := len(w.arena)
+	w.arena = append(append(w.arena, p...), w.id)
+	return wreachEntry{target: target, adopted: int32(w.roundsRun), pathSpan: pathSpan{int32(off), int32(len(p) + 1)}}
 }
 
 func (w *wreachNode) Done() bool {
@@ -150,36 +208,63 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		return nil, fmt.Errorf("distalgo: horizon must be ≥ 1, got %d", horizon)
 	}
 	pos := o.Positions()
-	nodes := make([]*wreachNode, g.N())
+	nodes := make([]wreachNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "wreach"
 	}
+	// Every node starts with room for a few entries, paths and sent spans,
+	// carved from run-wide slabs; only nodes that outgrow them allocate.
+	// The room grows with the horizon up to 5 (r = 2 for the connected
+	// variant), so a long horizon does not preallocate for every node.
+	h := min(horizon, 5)
+	entryCap, arenaCap, spanCap := 4*h, 8*(h+1), 2*h
+	entrySlab := make([]wreachEntry, g.N()*entryCap)
+	arenaSlab := make([]int, g.N()*arenaCap)
+	spanSlab := make([]pathSpan, 2*g.N()*spanCap)
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &wreachNode{id: v, pos: pos, horizon: horizon}
-		return nodes[v]
+		e, a, s := v*entryCap, v*arenaCap, 2*v*spanCap
+		nd := &nodes[v]
+		*nd = wreachNode{
+			id: v, pos: pos, horizon: horizon,
+			entries: entrySlab[e : e : e+entryCap],
+			arena:   arenaSlab[a : a : a+arenaCap],
+			spans:   spanSlab[s : s : s+spanCap],
+		}
+		nd.sent.setSpare(PathsMessage{spans: spanSlab[s+spanCap : s+spanCap : s+2*spanCap]})
+		return nd
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: WReachDist failed: %w", err)
 	}
-	res := &WReachDistResult{Witnesses: make([][]order.PathTo, g.N()), Stats: stats}
-	for v, nd := range nodes {
-		targets := make([]int, 0, len(nd.best))
-		for t := range nd.best {
-			targets = append(targets, t)
+	// Every witness and its path are carved from two run-wide slabs.
+	entries, words := 0, 0
+	for v := range nodes {
+		entries += len(nodes[v].entries)
+		for _, e := range nodes[v].entries {
+			words += int(e.n)
 		}
-		sort.Slice(targets, func(i, j int) bool { return pos[targets[i]] < pos[targets[j]] })
-		wits := make([]order.PathTo, 0, len(targets))
-		for _, t := range targets {
-			stored := nd.best[t]
+	}
+	wits := make([]order.PathTo, 0, entries)
+	paths := make([]int, words)
+	res := &WReachDistResult{Witnesses: make([][]order.PathTo, g.N()), Stats: stats}
+	for v := range nodes {
+		nd := &nodes[v]
+		slices.SortFunc(nd.entries, func(a, b wreachEntry) int {
+			return cmp.Compare(pos[a.target], pos[b.target])
+		})
+		lo := len(wits)
+		for _, e := range nd.entries {
 			// Stored paths run target → … → v; PathTo wants v → … → target.
-			rev := make([]int, len(stored))
+			stored := nd.path(e)
+			rev := paths[:len(stored):len(stored)]
+			paths = paths[len(stored):]
 			for i, x := range stored {
 				rev[len(stored)-1-i] = x
 			}
-			wits = append(wits, order.PathTo{Target: t, Path: rev})
+			wits = append(wits, order.PathTo{Target: int(e.target), Path: rev})
 		}
-		res.Witnesses[v] = wits
+		res.Witnesses[v] = wits[lo:len(wits):len(wits)]
 	}
 	return res, nil
 }
