@@ -93,7 +93,7 @@ func TestGreedyAndCoverAPI(t *testing.T) {
 func TestOrderAPI(t *testing.T) {
 	g := gen.Outerplanar(60, 5)
 	o := BuildOrder(g, 2)
-	if o.N() != g.N() {
+	if len(o.Positions()) != g.N() {
 		t.Fatal("order size mismatch")
 	}
 	if WeakColouringNumber(g, o, 4) < 1 {

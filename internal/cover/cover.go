@@ -136,10 +136,6 @@ func (c *Cover) AvgDegree() float64 {
 	return float64(total) / float64(len(c.memberships))
 }
 
-// Memberships returns the centers of the clusters containing w, sorted by
-// L-position of the center.
-func (c *Cover) Memberships(w int) []int { return c.memberships[w] }
-
 // Cluster returns the cluster centered at v (sorted increasingly), or nil
 // when v centers no cluster.  The slice is owned by the cover.
 func (c *Cover) Cluster(v int) []int { return c.clusters[v] }

@@ -86,7 +86,7 @@ func TestCoverMemberships(t *testing.T) {
 	g := gen.Grid(6, 6)
 	c, _ := build(t, g, 1)
 	for w := 0; w < g.N(); w++ {
-		for _, center := range c.Memberships(w) {
+		for _, center := range c.memberships[w] {
 			found := false
 			for _, x := range c.Cluster(center) {
 				if x == w {
@@ -193,7 +193,7 @@ func TestBuildFromSetsWorkersDeterminism(t *testing.T) {
 			}
 		}
 		for w := 0; w < g.N(); w++ {
-			if !reflect.DeepEqual(base.Memberships(w), c.Memberships(w)) {
+			if !reflect.DeepEqual(base.memberships[w], c.memberships[w]) {
 				t.Fatalf("workers=%d: memberships of %d differ", workers, w)
 			}
 		}

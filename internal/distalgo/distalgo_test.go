@@ -1,6 +1,7 @@
 package distalgo
 
 import (
+	"sort"
 	"testing"
 
 	"bedom/internal/connect"
@@ -303,7 +304,7 @@ func TestLenzenDistributedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want := LenzenSequential(tc.g)
+		want := lenzenSequential(tc.g)
 		if !sameInts(res.Set, want) {
 			t.Fatalf("%s: distributed (%d) and sequential (%d) Lenzen sets differ",
 				tc.name, len(res.Set), len(want))
@@ -439,4 +440,66 @@ func sameInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// lenzenSequential is the sequential reference of the full two-step
+// algorithm; the distributed version must produce exactly the same set.
+func lenzenSequential(g *graph.Graph) []int {
+	n := g.N()
+	inA := lenzenSetA(g)
+	dominatedByA := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if inA[v] {
+			dominatedByA[v] = true
+			for _, u := range g.Neighbors(v) {
+				dominatedByA[int(u)] = true
+			}
+		}
+	}
+	// White count of u: vertices in N[u] not dominated by A.
+	white := make([]int, n)
+	for u := 0; u < n; u++ {
+		c := 0
+		if !dominatedByA[u] {
+			c++
+		}
+		for _, x := range g.Neighbors(u) {
+			if !dominatedByA[int(x)] {
+				c++
+			}
+		}
+		white[u] = c
+	}
+	chosen := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if dominatedByA[v] {
+			continue
+		}
+		best := v
+		for _, u := range g.NeighborsInts(v) {
+			if white[u] > white[best] || (white[u] == white[best] && u < best) {
+				best = u
+			}
+		}
+		chosen[best] = true
+	}
+	var D []int
+	for v := 0; v < n; v++ {
+		if inA[v] || chosen[v] {
+			D = append(D, v)
+		}
+	}
+	sort.Ints(D)
+	return D
+}
+
+// lenzenSetA computes step 1 sequentially: membership in the set A.
+func lenzenSetA(g *graph.Graph) []bool {
+	n := g.N()
+	inA := make([]bool, n)
+	bw := g.NewBallWalker()
+	for v := 0; v < n; v++ {
+		inA[v] = !coverableByTwo(g, bw, v)
+	}
+	return inA
 }

@@ -24,17 +24,6 @@ import (
 // Both steps only require constant-radius neighborhood information, so the
 // distributed version runs in a constant number of LOCAL rounds.
 
-// LenzenSetA computes step 1 sequentially: membership in the set A.
-func LenzenSetA(g *graph.Graph) []bool {
-	n := g.N()
-	inA := make([]bool, n)
-	bw := g.NewBallWalker()
-	for v := 0; v < n; v++ {
-		inA[v] = !coverableByTwo(g, bw, v)
-	}
-	return inA
-}
-
 // coverableByTwo reports whether there exist two vertices u, w (both ≠ v)
 // with N(v) \ {u, w} ⊆ N(u) ∪ N(w).  bw is a walker on g.
 func coverableByTwo(g *graph.Graph, bw *graph.BallWalker, v int) bool {
@@ -78,57 +67,6 @@ func coversAllBut(g *graph.Graph, nv []int, u, w int) bool {
 		}
 	}
 	return true
-}
-
-// LenzenSequential is the sequential reference of the full two-step
-// algorithm; the distributed version must produce exactly the same set.
-func LenzenSequential(g *graph.Graph) []int {
-	n := g.N()
-	inA := LenzenSetA(g)
-	dominatedByA := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if inA[v] {
-			dominatedByA[v] = true
-			for _, u := range g.Neighbors(v) {
-				dominatedByA[int(u)] = true
-			}
-		}
-	}
-	// White count of u: vertices in N[u] not dominated by A.
-	white := make([]int, n)
-	for u := 0; u < n; u++ {
-		c := 0
-		if !dominatedByA[u] {
-			c++
-		}
-		for _, x := range g.Neighbors(u) {
-			if !dominatedByA[int(x)] {
-				c++
-			}
-		}
-		white[u] = c
-	}
-	chosen := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if dominatedByA[v] {
-			continue
-		}
-		best := v
-		for _, u := range g.NeighborsInts(v) {
-			if white[u] > white[best] || (white[u] == white[best] && u < best) {
-				best = u
-			}
-		}
-		chosen[best] = true
-	}
-	var D []int
-	for v := 0; v < n; v++ {
-		if inA[v] || chosen[v] {
-			D = append(D, v)
-		}
-	}
-	sort.Ints(D)
-	return D
 }
 
 // lenzenNode is the distributed implementation.  Round structure:

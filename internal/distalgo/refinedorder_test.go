@@ -25,14 +25,15 @@ func TestRunRefinedOrderProducesValidOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if res.Order.N() != tc.g.N() || res.BaseOrder.N() != tc.g.N() {
+		if len(res.Order.Positions()) != tc.g.N() || len(res.BaseOrder.Positions()) != tc.g.N() {
 			t.Fatalf("%s: order size mismatch", tc.name)
 		}
 		// The refined order must be a permutation (FromPermutation validates
 		// this internally; re-check via positions).
 		seen := make([]bool, tc.g.N())
+		pos := res.Order.Positions()
 		for v := 0; v < tc.g.N(); v++ {
-			p := res.Order.Pos(v)
+			p := pos[v]
 			if p < 0 || p >= tc.g.N() || seen[p] {
 				t.Fatalf("%s: invalid position %d for vertex %d", tc.name, p, v)
 			}

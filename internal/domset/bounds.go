@@ -1,10 +1,6 @@
 package domset
 
-import (
-	"sort"
-
-	"bedom/internal/graph"
-)
+import "bedom/internal/graph"
 
 // ScatteredLowerBound returns the size of a maximal 2r-scattered subset of
 // the given candidate set (falling back to all vertices when candidates is
@@ -63,44 +59,4 @@ func BestLowerBound(g *graph.Graph, r int, approx []int, exactLimit, exactBudget
 		}
 	}
 	return lb, false
-}
-
-// CoverageHistogram returns, for a dominating set D, how many vertices are
-// covered by exactly k elements of D (index k of the returned slice), which
-// the experiments use to illustrate the overlap structure.
-func CoverageHistogram(g *graph.Graph, D []int, r int) []int {
-	counts := make([]int, g.N())
-	bw := g.NewBallWalker()
-	for _, v := range D {
-		for _, u := range bw.Ball(v, r) {
-			counts[u]++
-		}
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	hist := make([]int, maxC+1)
-	for _, c := range counts {
-		hist[c]++
-	}
-	return hist
-}
-
-// Dominators returns for every vertex the sorted list of elements of D within
-// distance r (its potential dominators).
-func Dominators(g *graph.Graph, D []int, r int) [][]int {
-	out := make([][]int, g.N())
-	bw := g.NewBallWalker()
-	for _, v := range D {
-		for _, u := range bw.Ball(v, r) {
-			out[u] = append(out[u], v)
-		}
-	}
-	for v := range out {
-		sort.Ints(out[v])
-	}
-	return out
 }

@@ -7,7 +7,6 @@
 package domset
 
 import (
-	"fmt"
 	"sort"
 
 	"bedom/internal/graph"
@@ -31,18 +30,6 @@ func Check(g *graph.Graph, D []int, r int) bool {
 		}
 	}
 	return true
-}
-
-// Uncovered returns the vertices not within distance r of any element of D.
-func Uncovered(g *graph.Graph, D []int, r int) []int {
-	dist := g.MultiSourceDistances(D)
-	var out []int
-	for v, d := range dist {
-		if d == graph.Unreached || d > r {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // FromOrder computes the paper's distance-r dominating set
@@ -136,42 +123,4 @@ func AlgorithmOne(g *graph.Graph, o *order.Order, r int) []int {
 	}
 	sort.Ints(D)
 	return D
-}
-
-// Result bundles a dominating set with quality diagnostics for the
-// experiment tables.
-type Result struct {
-	// R is the domination radius.
-	R int
-	// Set is the computed distance-r dominating set (sorted).
-	Set []int
-	// LowerBound is a valid lower bound on the optimum (from a 2r-scattered
-	// set, or the exact optimum when available).
-	LowerBound int
-	// Exact reports whether LowerBound is known to be the exact optimum.
-	Exact bool
-}
-
-// Ratio returns |Set| / LowerBound (or 0 when the lower bound is 0).
-func (res Result) Ratio() float64 {
-	if res.LowerBound == 0 {
-		return 0
-	}
-	return float64(len(res.Set)) / float64(res.LowerBound)
-}
-
-// String summarises the result.
-func (res Result) String() string {
-	return fmt.Sprintf("r=%d |D|=%d LB=%d ratio=%.2f exact=%v",
-		res.R, len(res.Set), res.LowerBound, res.Ratio(), res.Exact)
-}
-
-// Approximate runs the paper's sequential pipeline end to end: construct an
-// order for radius r (Theorem 2 substitute), run Algorithm 1 and attach a
-// lower bound.
-func Approximate(g *graph.Graph, r int) Result {
-	o := order.ConstructDefault(g, r)
-	D := AlgorithmOne(g, o, r)
-	lb := ScatteredLowerBound(g, r, D)
-	return Result{R: r, Set: D, LowerBound: lb}
 }

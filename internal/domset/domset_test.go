@@ -23,9 +23,6 @@ func TestCheckBasics(t *testing.T) {
 	if !Check(graph.New(0), nil, 1) {
 		t.Fatal("empty set dominates the empty graph")
 	}
-	if len(Uncovered(g, []int{0}, 1)) != 5 {
-		t.Fatalf("uncovered: %v", Uncovered(g, []int{0}, 1))
-	}
 	disc := graph.MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	if Check(disc, []int{0}, 5) {
 		t.Fatal("one component cannot dominate the other")
@@ -90,23 +87,23 @@ func TestApproximateQualityOnSmallGraphs(t *testing.T) {
 	}
 	for gi, g := range cases {
 		for _, r := range []int{1, 2} {
-			res := Approximate(g, r)
-			if !Check(g, res.Set, r) {
+			D, lb := approximate(g, r)
+			if !Check(g, D, r) {
 				t.Fatalf("case %d r=%d: invalid dominating set", gi, r)
 			}
 			opt, ok := Exact(g, r, 0)
 			if !ok {
 				t.Fatalf("case %d r=%d: exact solver did not finish", gi, r)
 			}
-			if len(res.Set) < opt {
+			if len(D) < opt {
 				t.Fatalf("case %d r=%d: |D|=%d smaller than optimum %d (impossible)",
-					gi, r, len(res.Set), opt)
+					gi, r, len(D), opt)
 			}
-			if len(res.Set) > 8*opt {
-				t.Errorf("case %d r=%d: ratio %d/%d unexpectedly large", gi, r, len(res.Set), opt)
+			if len(D) > 8*opt {
+				t.Errorf("case %d r=%d: ratio %d/%d unexpectedly large", gi, r, len(D), opt)
 			}
-			if res.LowerBound > opt {
-				t.Errorf("case %d r=%d: lower bound %d exceeds optimum %d", gi, r, res.LowerBound, opt)
+			if lb > opt {
+				t.Errorf("case %d r=%d: lower bound %d exceeds optimum %d", gi, r, lb, opt)
 			}
 		}
 	}
@@ -257,36 +254,6 @@ func TestBestLowerBound(t *testing.T) {
 	}
 }
 
-func TestCoverageHistogramAndDominators(t *testing.T) {
-	g := gen.Path(9)
-	D := []int{1, 4, 7}
-	hist := CoverageHistogram(g, D, 1)
-	// Every vertex is covered exactly once by this D.
-	if len(hist) != 2 || hist[1] != 9 || hist[0] != 0 {
-		t.Fatalf("hist %v", hist)
-	}
-	doms := Dominators(g, D, 1)
-	if len(doms[0]) != 1 || doms[0][0] != 1 {
-		t.Fatalf("dominators of 0: %v", doms[0])
-	}
-	if len(doms[4]) != 1 || doms[4][0] != 4 {
-		t.Fatalf("dominators of 4: %v", doms[4])
-	}
-}
-
-func TestResultHelpers(t *testing.T) {
-	res := Result{R: 2, Set: []int{1, 2, 3}, LowerBound: 2, Exact: false}
-	if res.Ratio() != 1.5 {
-		t.Fatalf("ratio %f", res.Ratio())
-	}
-	if (Result{}).Ratio() != 0 {
-		t.Fatal("zero lower bound ratio should be 0")
-	}
-	if res.String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
 // Property-based test: for random partial 3-trees, the paper's algorithm
 // always produces a valid dominating set that is never smaller than the
 // scattered lower bound, and the ratio stays within a loose constant
@@ -295,16 +262,25 @@ func TestApproximationQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.RandomKTree(70, 3, seed)
 		r := 1 + int(uint(seed)%2)
-		res := Approximate(g, r)
-		if !Check(g, res.Set, r) {
+		D, lb := approximate(g, r)
+		if !Check(g, D, r) {
 			return false
 		}
-		if res.LowerBound > len(res.Set) {
+		if lb > len(D) {
 			return false
 		}
-		return res.LowerBound == 0 || res.Ratio() < 30
+		return lb == 0 || float64(len(D))/float64(lb) < 30
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// approximate runs the paper's sequential pipeline end to end: construct an
+// order for radius r (Theorem 2 substitute), run Algorithm 1 and attach a
+// lower bound.
+func approximate(g *graph.Graph, r int) (D []int, lb int) {
+	o := order.ConstructDefault(g, r)
+	D = AlgorithmOne(g, o, r)
+	return D, ScatteredLowerBound(g, r, D)
 }

@@ -15,7 +15,8 @@ func TestDistRunRing(t *testing.T) {
 	e := testEngine(t, Config{})
 	g := gen.Grid(8, 8)
 
-	tr := obs.NewTrace(obs.NewQueryID())
+	id := obs.NewQueryID()
+	tr := obs.NewTrace(id)
 	ctx := obs.WithTrace(context.Background(), tr)
 	resp, err := e.Do(ctx, Request{G: g, Kind: KindDistributedDominatingSet, R: 1})
 	if err != nil {
@@ -26,12 +27,12 @@ func TestDistRunRing(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("got %d retained runs, want 1", len(runs))
 	}
-	if runs[0].ID != tr.ID() {
-		t.Fatalf("run keyed %q, want the request's query ID %q", runs[0].ID, tr.ID())
+	if runs[0].ID != id {
+		t.Fatalf("run keyed %q, want the request's query ID %q", runs[0].ID, id)
 	}
-	rec, ok := e.DistRun(tr.ID())
+	rec, ok := e.DistRun(id)
 	if !ok {
-		t.Fatalf("DistRun(%q) not found", tr.ID())
+		t.Fatalf("DistRun(%q) not found", id)
 	}
 	if rec.Stats.Rounds != resp.Rounds || rec.Stats.Messages != resp.Messages {
 		t.Fatalf("record totals %+v diverge from response (rounds=%d messages=%d)",
@@ -74,8 +75,9 @@ func TestDistRunRingEvictsOldest(t *testing.T) {
 	g := gen.Grid(5, 5)
 	var ids []string
 	for i := 0; i < 3; i++ {
-		tr := obs.NewTrace(obs.NewQueryID())
-		ids = append(ids, tr.ID())
+		id := obs.NewQueryID()
+		tr := obs.NewTrace(id)
+		ids = append(ids, id)
 		if _, err := e.Do(obs.WithTrace(context.Background(), tr),
 			Request{G: g, Kind: KindDistributedDominatingSet, R: 1}); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -473,32 +472,9 @@ func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	return ent.info(gen), nil
 }
 
-// RegisterEdgeList reads a graph in the library's edge-list format (see
-// internal/graph.ReadEdgeList) and registers it under name.
-func (e *Engine) RegisterEdgeList(name string, r io.Reader) (GraphInfo, error) {
-	g, err := graph.ReadEdgeList(r)
-	if err != nil {
-		return GraphInfo{}, err
-	}
-	return e.Register(name, g)
-}
-
-// Lookup returns the current topology of the graph registered under name:
-// the registered *Graph itself while unmutated, a materialized immutable
-// snapshot after mutations.
-func (e *Engine) Lookup(name string) (*graph.Graph, bool) {
-	e.mu.Lock()
-	ent, ok := e.graphs[name]
-	e.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return ent.dyn.Snapshot(), true
-}
-
 // Info returns the registered graph's current vertex/edge counts and cache
 // generation without materializing a snapshot (a counter read, safe to call
-// on every request — unlike Lookup, which merges a dirty overlay).
+// on every request).
 func (e *Engine) Info(name string) (GraphInfo, bool) {
 	e.mu.Lock()
 	ent, ok := e.graphs[name]

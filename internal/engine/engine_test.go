@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,21 +55,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := e.Do(context.Background(), Request{Graph: "grid", Kind: KindDominatingSet, R: 1}); !errors.Is(err, ErrUnknownGraph) {
 		t.Fatalf("query on removed graph: %v", err)
-	}
-}
-
-func TestRegisterEdgeList(t *testing.T) {
-	e := testEngine(t, Config{})
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, gen.Grid(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := e.RegisterEdgeList("g", &buf)
-	if err != nil || info.N != 25 {
-		t.Fatalf("RegisterEdgeList: %+v %v", info, err)
-	}
-	if _, err := e.RegisterEdgeList("bad", strings.NewReader("not a graph")); err == nil {
-		t.Fatal("malformed edge list must be rejected")
 	}
 }
 
@@ -539,4 +522,17 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 			t.Fatalf("cover result differs at GOMAXPROCS=%d", procs)
 		}
 	}
+}
+
+// Lookup returns the current topology of the graph registered under name:
+// the registered *Graph itself while unmutated, a materialized immutable
+// snapshot after mutations.
+func (e *Engine) Lookup(name string) (*graph.Graph, bool) {
+	e.mu.Lock()
+	ent, ok := e.graphs[name]
+	e.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return ent.dyn.Snapshot(), true
 }

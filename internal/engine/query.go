@@ -40,14 +40,6 @@ const (
 	KindDistributedConnected Kind = "dist-cds"
 )
 
-// Kinds lists the supported query kinds.
-func Kinds() []Kind {
-	return []Kind{
-		KindDominatingSet, KindConnectedDominatingSet, KindCover,
-		KindDistributedDominatingSet, KindDistributedConnected,
-	}
-}
-
 // Request describes one domination query.
 type Request struct {
 	// Graph names a registered graph.  Ignored when G is set.

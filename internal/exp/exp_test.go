@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -38,32 +37,6 @@ func TestQuickConfigSuiteRuns(t *testing.T) {
 		if tbl.ID != e.ID {
 			t.Fatalf("experiment %s mislabelled as %s", e.ID, tbl.ID)
 		}
-	}
-}
-
-func TestRunAllWritesEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite in -short mode")
-	}
-	cfg := QuickConfig()
-	cfg.Radii = []int{1}
-	cfg.ScalingSizes = []int{64}
-	var buf bytes.Buffer
-	if err := RunAll(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, e := range All() {
-		if !strings.Contains(out, e.ID+" — ") {
-			t.Fatalf("output missing experiment %s", e.ID)
-		}
-	}
-	var md bytes.Buffer
-	if err := RunAllMarkdown(cfg, &md); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "### E1") {
-		t.Fatal("markdown output missing E1")
 	}
 }
 

@@ -156,43 +156,6 @@ func RandomTree(n int, seed int64) *graph.Graph {
 	return g
 }
 
-// CompleteBinaryTree returns a complete binary tree on n vertices (vertex 0
-// is the root, children of i are 2i+1 and 2i+2).
-func CompleteBinaryTree(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		mustAdd(g, i, (i-1)/2)
-	}
-	g.Finalize()
-	return g
-}
-
-// Caterpillar returns a caterpillar tree: a spine path of length ~n/(legs+1)
-// where each spine vertex gets `legs` pendant leaves, truncated to n
-// vertices.
-func Caterpillar(n, legs int) *graph.Graph {
-	if legs < 0 {
-		legs = 0
-	}
-	g := graph.New(n)
-	next := 0
-	prevSpine := -1
-	for next < n {
-		spine := next
-		next++
-		if prevSpine >= 0 {
-			mustAdd(g, prevSpine, spine)
-		}
-		prevSpine = spine
-		for l := 0; l < legs && next < n; l++ {
-			mustAdd(g, spine, next)
-			next++
-		}
-	}
-	g.Finalize()
-	return g
-}
-
 // Outerplanar returns a maximal outerplanar graph on n vertices: a cycle
 // 0..n-1 plus a random triangulation of its interior (a fan for n < 4).
 // Maximal outerplanar graphs are planar and 2-degenerate.
@@ -299,22 +262,6 @@ func RandomKTree(n, k int, seed int64) *graph.Graph {
 			copy(nc, c)
 			nc[i] = v
 			cliques = append(cliques, nc)
-		}
-	}
-	g.Finalize()
-	return g
-}
-
-// PartialKTree returns a random partial k-tree: a random k-tree with each
-// edge kept independently with probability keep.  Partial k-trees are
-// exactly the graphs of treewidth ≤ k.
-func PartialKTree(n, k int, keep float64, seed int64) *graph.Graph {
-	full := RandomKTree(n, k, seed)
-	rng := rand.New(rand.NewSource(seed + 1))
-	g := graph.New(n)
-	for _, e := range full.Edges() {
-		if rng.Float64() < keep {
-			mustAdd(g, e[0], e[1])
 		}
 	}
 	g.Finalize()

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"bedom/internal/graph"
@@ -53,14 +52,4 @@ func LargeFamilies() []Family {
 		},
 	})
 	return out
-}
-
-// LargeFamilyByName returns the large-tier family with the given name.
-func LargeFamilyByName(name string) (Family, error) {
-	for _, f := range LargeFamilies() {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return Family{}, fmt.Errorf("gen: unknown large-tier family %q", name)
 }

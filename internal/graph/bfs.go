@@ -4,12 +4,6 @@ package graph
 // bounded or disconnected search.
 const Unreached = -1
 
-// BFSDistances returns the distance from src to every vertex, with Unreached
-// (-1) for vertices in other connected components.
-func (g *Graph) BFSDistances(src int) []int {
-	return g.BFSDistancesBounded(src, -1)
-}
-
 // BFSDistancesBounded returns distances from src up to maxDepth; vertices
 // farther than maxDepth (or unreachable) get Unreached.  A negative maxDepth
 // means unbounded.
@@ -147,106 +141,6 @@ func (w *BallWalker) EccentricityWithin(center int, members []int) int {
 		return -1
 	}
 	return int(ecc)
-}
-
-// Dist returns the distance between u and v, or Unreached if they are in
-// different components.
-func (g *Graph) Dist(u, v int) int {
-	if u == v {
-		return 0
-	}
-	return g.BFSDistances(u)[v]
-}
-
-// ShortestPath returns one shortest path from u to v (inclusive of both
-// endpoints), or nil if v is unreachable from u.  Ties are broken toward
-// lexicographically smallest predecessor, which makes the result
-// deterministic on finalized graphs.
-func (g *Graph) ShortestPath(u, v int) []int {
-	if u == v {
-		return []int{u}
-	}
-	dist := make([]int, g.n)
-	pred := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreached
-		pred[i] = -1
-	}
-	dist[u] = 0
-	q := NewIntQueue(16)
-	q.Push(u)
-	for !q.Empty() {
-		x := q.Pop()
-		if x == v {
-			break
-		}
-		for _, w := range g.Neighbors(x) {
-			y := int(w)
-			if dist[y] == Unreached {
-				dist[y] = dist[x] + 1
-				pred[y] = x
-				q.Push(y)
-			}
-		}
-	}
-	if dist[v] == Unreached {
-		return nil
-	}
-	path := []int{v}
-	for x := v; x != u; x = pred[x] {
-		path = append(path, pred[x])
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-// Eccentricity returns the maximum distance from v to any vertex of its
-// connected component.
-func (g *Graph) Eccentricity(v int) int {
-	dist := g.BFSDistances(v)
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Radius returns min_v Eccentricity(v) of a connected graph, computed
-// exactly (O(n·m)).  For a disconnected graph, vertices in other components
-// are ignored per-source, so the value equals the minimum eccentricity within
-// the component of the minimizing vertex; callers interested in cluster
-// radii (cover verification) use it only on connected induced subgraphs.
-func (g *Graph) Radius() int {
-	if g.n == 0 {
-		return 0
-	}
-	best := -1
-	for v := 0; v < g.n; v++ {
-		e := g.Eccentricity(v)
-		if best == -1 || e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// Diameter returns max_v Eccentricity(v), computed exactly (O(n·m)).
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return 0
-	}
-	best := 0
-	for v := 0; v < g.n; v++ {
-		if e := g.Eccentricity(v); e > best {
-			best = e
-		}
-	}
-	return best
 }
 
 // MultiSourceDistances returns, for every vertex, its distance to the nearest

@@ -6,16 +6,12 @@ import "math/bits"
 // The zero value of the struct is not usable; create one with NewBitset.
 type Bitset struct {
 	words []uint64
-	n     int
 }
 
 // NewBitset returns a bitset capable of holding values 0..n-1, all unset.
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the capacity of the bitset (the n it was created with).
-func (b *Bitset) Len() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -33,35 +29,6 @@ func (b *Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Reset clears all bits.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Union sets b = b ∪ other.  Both bitsets must have the same capacity.
-func (b *Bitset) Union(other *Bitset) {
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-}
-
-// Intersects reports whether b and other share a set bit.
-func (b *Bitset) Intersects(other *Bitset) bool {
-	for i, w := range other.words {
-		if b.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone returns a copy of the bitset.
-func (b *Bitset) Clone() *Bitset {
-	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
 // Members returns the indices of all set bits in increasing order.

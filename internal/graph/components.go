@@ -74,12 +74,11 @@ func (g *Graph) IsConnectedSubset(verts []int) bool {
 type UnionFind struct {
 	parent []int
 	rank   []int
-	sets   int
 }
 
 // NewUnionFind returns a union-find structure over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -108,12 +107,5 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

@@ -11,8 +11,7 @@ import (
 // Dynamic is a mutable graph built as a finalized CSR base plus a sorted
 // delta overlay of pending edge insertions and deletions.  Mutations are
 // applied in batches (Apply), cost O(|delta|·log deg), and never touch the
-// base arrays, so reads stay binary-search flat-array fast: HasEdge consults
-// the base row and at most two small sorted overlay rows.  Once the overlay
+// base arrays, so a snapshot of the base stays valid.  Once the overlay
 // grows past a configurable threshold it is compacted — merged into a fresh
 // CSR base in one linear pass — keeping the overlay small relative to the
 // graph no matter how many deltas arrive.
@@ -142,28 +141,6 @@ func NewDynamic(g *Graph, compactAt int) *Dynamic {
 	}
 }
 
-// N returns the current vertex count.
-func (d *Dynamic) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.n
-}
-
-// M returns the current edge count.
-func (d *Dynamic) M() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.m
-}
-
-// Base returns the current CSR base (not including pending overlay edits).
-// It is immutable and safe to read concurrently with mutations.
-func (d *Dynamic) Base() *Graph {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.base
-}
-
 // Stats returns the current mutation counters.
 func (d *Dynamic) Stats() DynamicStats {
 	d.mu.RLock()
@@ -175,51 +152,6 @@ func (d *Dynamic) Stats() DynamicStats {
 		CompactionThreshold: d.compactAt,
 		Compactions:         d.compactions,
 	}
-}
-
-// HasEdge reports whether the edge {u, v} is present in the current
-// topology: a binary search over the base CSR row corrected by the (small,
-// sorted) overlay rows.
-func (d *Dynamic) HasEdge(u, v int) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.hasEdgeLocked(u, v)
-}
-
-func (d *Dynamic) hasEdgeLocked(u, v int) bool {
-	if u < 0 || u >= d.n || v < 0 || v >= d.n || u == v {
-		return false
-	}
-	if d.base.HasEdge(u, v) {
-		_, deleted := sortedIndex(d.del[int32(u)], int32(v))
-		return !deleted
-	}
-	_, added := sortedIndex(d.add[int32(u)], int32(v))
-	return added
-}
-
-// Degree returns the current degree of v.
-func (d *Dynamic) Degree(v int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	deg := len(d.add[int32(v)]) - len(d.del[int32(v)])
-	if v < d.base.N() {
-		deg += d.base.Degree(v)
-	}
-	return deg
-}
-
-// AppendNeighbors appends the sorted current neighbors of v to buf and
-// returns the extended slice (a merge of the base CSR row with the overlay;
-// allocation-free when buf has capacity).
-func (d *Dynamic) AppendNeighbors(buf []int32, v int) []int32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var baseRow []int32
-	if v < d.base.N() {
-		baseRow = d.base.Neighbors(v)
-	}
-	return mergeRow(buf, baseRow, d.del[int32(v)], d.add[int32(v)])
 }
 
 // Apply validates and applies one mutation batch.  Validation is atomic: on
@@ -371,16 +303,6 @@ func (d *Dynamic) Snapshot() *Graph {
 	return d.snap
 }
 
-// Compact folds the overlay into a fresh CSR base immediately, regardless of
-// the threshold.  It is a no-op when the overlay is empty.
-func (d *Dynamic) Compact() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.overlay > 0 || d.n != d.base.N() {
-		d.compactLocked()
-	}
-}
-
 func (d *Dynamic) compactLocked() {
 	if d.snap == nil {
 		d.snap = d.materializeLocked()
@@ -449,55 +371,4 @@ func mergeRow(buf, base, del, add []int32) []int32 {
 // it is already present.
 func sortedIndex(row []int32, w int32) (int, bool) {
 	return slices.BinarySearch(row, w)
-}
-
-// Validate checks the overlay invariants and the consistency of the counts;
-// it is used by tests.
-func (d *Dynamic) Validate() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	half := 0
-	for _, rows := range []map[int32][]int32{d.add, d.del} {
-		for u, row := range rows {
-			if !slices.IsSorted(row) {
-				return fmt.Errorf("graph: Dynamic overlay row of %d not sorted", u)
-			}
-			half += len(row)
-			for _, v := range row {
-				if _, ok := sortedIndex(rows[v], u); !ok {
-					return fmt.Errorf("graph: asymmetric overlay entry {%d,%d}", u, v)
-				}
-			}
-		}
-	}
-	if half != d.overlay {
-		return fmt.Errorf("graph: overlay size %d, counted %d", d.overlay, half)
-	}
-	for u, row := range d.add {
-		for _, v := range row {
-			if int(u) < d.base.N() && d.base.HasEdge(int(u), int(v)) {
-				return fmt.Errorf("graph: add-overlay edge {%d,%d} already in base", u, v)
-			}
-		}
-	}
-	for u, row := range d.del {
-		for _, v := range row {
-			if int(u) >= d.base.N() || !d.base.HasEdge(int(u), int(v)) {
-				return fmt.Errorf("graph: del-overlay edge {%d,%d} not in base", u, v)
-			}
-		}
-	}
-	// Overlay rows hold half-edges; base.M() counts edges.
-	if got := d.base.M() + (halfCount(d.add)-halfCount(d.del))/2; got != d.m {
-		return fmt.Errorf("graph: edge count %d, overlay arithmetic gives %d", d.m, got)
-	}
-	return nil
-}
-
-func halfCount(rows map[int32][]int32) int {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	return n
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -26,8 +27,8 @@ func edgesEqual(a, b [][2]int) bool {
 func TestDynamicBasicMutations(t *testing.T) {
 	g := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	d := NewDynamic(g, 0)
-	if d.N() != 4 || d.M() != 3 || d.Snapshot() != g {
-		t.Fatalf("fresh Dynamic: n=%d m=%d", d.N(), d.M())
+	if st := d.Stats(); st.N != 4 || st.M != 3 || d.Snapshot() != g {
+		t.Fatalf("fresh Dynamic: n=%d m=%d", st.N, st.M)
 	}
 
 	res, err := d.Apply(Delta{Add: [][2]int{{0, 2}}, Remove: [][2]int{{2, 3}}, AddVertices: 2})
@@ -37,10 +38,10 @@ func TestDynamicBasicMutations(t *testing.T) {
 	if res.EdgesAdded != 1 || res.EdgesRemoved != 1 || res.VerticesAdded != 2 {
 		t.Fatalf("result %+v", res)
 	}
-	if d.N() != 6 || d.M() != 3 {
-		t.Fatalf("after delta: n=%d m=%d", d.N(), d.M())
+	if st := d.Stats(); st.N != 6 || st.M != 3 {
+		t.Fatalf("after delta: n=%d m=%d", st.N, st.M)
 	}
-	if !d.HasEdge(0, 2) || d.HasEdge(2, 3) || !d.HasEdge(0, 1) {
+	if !d.Snapshot().HasEdge(0, 2) || d.Snapshot().HasEdge(2, 3) || !d.Snapshot().HasEdge(0, 1) {
 		t.Fatal("HasEdge disagrees with the delta")
 	}
 	if err := d.Validate(); err != nil {
@@ -55,8 +56,8 @@ func TestDynamicBasicMutations(t *testing.T) {
 	if _, err := d.Apply(Delta{Add: [][2]int{{4, 5}, {3, 4}}}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasEdge(4, 5) || d.Degree(4) != 2 {
-		t.Fatalf("edges on added vertices: deg(4)=%d", d.Degree(4))
+	if !d.Snapshot().HasEdge(4, 5) || d.Snapshot().Degree(4) != 2 {
+		t.Fatalf("edges on added vertices: deg(4)=%d", d.Snapshot().Degree(4))
 	}
 }
 
@@ -102,8 +103,8 @@ func TestDynamicDuplicateAndMissingOps(t *testing.T) {
 	if res.EdgesAdded != 1 || res.DuplicateAdds != 3 {
 		t.Fatalf("duplicate adds: %+v", res)
 	}
-	if d.M() != 2 {
-		t.Fatalf("m=%d after duplicate adds", d.M())
+	if d.Stats().M != 2 {
+		t.Fatalf("m=%d after duplicate adds", d.Stats().M)
 	}
 
 	// Removing a nonexistent edge is a counted no-op, repeated removals of
@@ -115,7 +116,7 @@ func TestDynamicDuplicateAndMissingOps(t *testing.T) {
 	if res.EdgesRemoved != 1 || res.MissingRemoves != 2 {
 		t.Fatalf("missing removes: %+v", res)
 	}
-	if d.M() != 1 || d.HasEdge(0, 1) {
+	if d.Stats().M != 1 || d.Snapshot().HasEdge(0, 1) {
 		t.Fatal("remove did not stick")
 	}
 
@@ -125,7 +126,7 @@ func TestDynamicDuplicateAndMissingOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EdgesRemoved != 1 || res.EdgesAdded != 1 || !d.HasEdge(1, 2) {
+	if res.EdgesRemoved != 1 || res.EdgesAdded != 1 || !d.Snapshot().HasEdge(1, 2) {
 		t.Fatalf("remove+add: %+v", res)
 	}
 
@@ -138,7 +139,7 @@ func TestDynamicDuplicateAndMissingOps(t *testing.T) {
 	if _, err := d2.Apply(Delta{Add: [][2]int{{0, 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := d2.Stats(); st.PendingDelta != 0 || d2.M() != 2 {
+	if st := d2.Stats(); st.PendingDelta != 0 || st.M != 2 {
 		t.Fatalf("un-delete left overlay %+v", st)
 	}
 	if err := d2.Validate(); err != nil {
@@ -164,7 +165,7 @@ func TestDynamicValidation(t *testing.T) {
 		}
 	}
 	// Validation is atomic: the rejected deltas changed nothing.
-	if d.N() != 3 || d.M() != 1 || d.Stats().PendingDelta != 0 {
+	if st := d.Stats(); st.N != 3 || st.M != 1 || st.PendingDelta != 0 {
 		t.Fatalf("rejected deltas mutated the graph: %+v", d.Stats())
 	}
 	// A delta may reference vertices it adds itself.
@@ -211,7 +212,7 @@ func TestDynamicCompactionThreshold(t *testing.T) {
 	if st.PendingDelta != 0 || st.Compactions != 1 {
 		t.Fatalf("after compaction: %+v", st)
 	}
-	if d.Base().M() != 4 || d.Base() != d.Snapshot() {
+	if d.base.M() != 4 || d.base != d.Snapshot() {
 		t.Fatal("compaction must fold the overlay into the base")
 	}
 	if before.M() != 3 {
@@ -295,8 +296,8 @@ func TestDynamicFuzzVsReference(t *testing.T) {
 				if err := snap.Validate(); err != nil {
 					t.Fatalf("batch %d snapshot: %v", batch, err)
 				}
-				if snap.M() != len(ref) || d.M() != len(ref) {
-					t.Fatalf("batch %d: m=%d/%d, reference %d", batch, snap.M(), d.M(), len(ref))
+				if snap.M() != len(ref) || d.Stats().M != len(ref) {
+					t.Fatalf("batch %d: m=%d/%d, reference %d", batch, snap.M(), d.Stats().M, len(ref))
 				}
 				for _, e := range snap.Edges() {
 					if !ref[e] {
@@ -326,18 +327,11 @@ func TestDynamicConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				switch rng.Intn(4) {
-				case 0:
-					d.HasEdge(rng.Intn(100), rng.Intn(100))
-				case 1:
-					d.Degree(rng.Intn(100))
-				case 2:
-					if err := d.Snapshot().Validate(); err != nil {
-						t.Error(err)
-						return
-					}
-				case 3:
+				if rng.Intn(2) == 0 {
 					d.Stats()
+				} else if err := d.Snapshot().Validate(); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(int64(r))
@@ -374,7 +368,7 @@ func TestNewDynamicUnfinalized(t *testing.T) {
 	if g.Finalized() {
 		t.Fatal("NewDynamic must not finalize the caller's graph")
 	}
-	if !d.Snapshot().Finalized() || d.M() != 1 {
+	if !d.Snapshot().Finalized() || d.Stats().M != 1 {
 		t.Fatal("base must be a finalized clone")
 	}
 }
@@ -451,4 +445,55 @@ func grid(rows, cols int) *Graph {
 	}
 	g.Finalize()
 	return g
+}
+
+// Validate checks the overlay invariants and the consistency of the counts;
+// it is used by tests.
+func (d *Dynamic) Validate() error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	half := 0
+	for _, rows := range []map[int32][]int32{d.add, d.del} {
+		for u, row := range rows {
+			if !slices.IsSorted(row) {
+				return fmt.Errorf("graph: Dynamic overlay row of %d not sorted", u)
+			}
+			half += len(row)
+			for _, v := range row {
+				if _, ok := sortedIndex(rows[v], u); !ok {
+					return fmt.Errorf("graph: asymmetric overlay entry {%d,%d}", u, v)
+				}
+			}
+		}
+	}
+	if half != d.overlay {
+		return fmt.Errorf("graph: overlay size %d, counted %d", d.overlay, half)
+	}
+	for u, row := range d.add {
+		for _, v := range row {
+			if int(u) < d.base.N() && d.base.HasEdge(int(u), int(v)) {
+				return fmt.Errorf("graph: add-overlay edge {%d,%d} already in base", u, v)
+			}
+		}
+	}
+	for u, row := range d.del {
+		for _, v := range row {
+			if int(u) >= d.base.N() || !d.base.HasEdge(int(u), int(v)) {
+				return fmt.Errorf("graph: del-overlay edge {%d,%d} not in base", u, v)
+			}
+		}
+	}
+	// Overlay rows hold half-edges; base.M() counts edges.
+	if got := d.base.M() + (halfCount(d.add)-halfCount(d.del))/2; got != d.m {
+		return fmt.Errorf("graph: edge count %d, overlay arithmetic gives %d", d.m, got)
+	}
+	return nil
+}
+
+func halfCount(rows map[int32][]int32) int {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	return n
 }

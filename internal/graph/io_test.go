@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,4 +127,36 @@ func TestWriteEdgeListHeaderOnly(t *testing.T) {
 	if g.N() != 3 || g.M() != 0 {
 		t.Fatalf("got %v", g)
 	}
+}
+
+// FuzzReadEdgeListLimit feeds arbitrary documents and limits to the
+// edge-list reader.  It must never panic; a successful parse must satisfy
+// the graph invariants, respect the vertex limit, and round-trip through
+// WriteEdgeList unchanged.  The limit is kept in 1..4096 so a document
+// declaring a huge n is rejected before it can allocate.
+func FuzzReadEdgeListLimit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		maxVertices := int(limit%4096) + 1
+		g, err := ReadEdgeListLimit(bytes.NewReader(data), maxVertices)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("parsed graph violates invariants: %v", err)
+		}
+		if g.N() > maxVertices {
+			t.Fatalf("parsed n=%d exceeds the limit %d", g.N(), maxVertices)
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("re-read: %v", err)
+		}
+		if g2.N() != g.N() || !slices.Equal(g2.Edges(), g.Edges()) {
+			t.Fatalf("round trip changed the graph: %v -> %v", g, g2)
+		}
+	})
 }

@@ -17,9 +17,6 @@ func NewIntQueue(capacity int) *IntQueue {
 	return &IntQueue{buf: make([]int, capacity)}
 }
 
-// Len returns the number of queued elements.
-func (q *IntQueue) Len() int { return q.size }
-
 // Empty reports whether the queue has no elements.
 func (q *IntQueue) Empty() bool { return q.size == 0 }
 

@@ -301,17 +301,6 @@ func (v *CounterVec) Counts() []LabeledCount {
 	return out
 }
 
-// Total sums every series of the family.
-func (v *CounterVec) Total() uint64 {
-	v.f.mu.RLock()
-	defer v.f.mu.RUnlock()
-	var t uint64
-	for _, s := range v.f.series {
-		t += s.c.Value()
-	}
-	return t
-}
-
 // --- Gauge -----------------------------------------------------------------
 
 // Gauge is an atomic float64 gauge.
@@ -319,16 +308,6 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (atomically, CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -380,9 +359,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.ObserveDuration(time.Since(start)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
@@ -417,17 +393,6 @@ func (v *HistogramVec) TotalSum() float64 {
 	var t float64
 	for _, s := range v.f.series {
 		t += s.h.Sum()
-	}
-	return t
-}
-
-// TotalCount sums the observation counts across every series.
-func (v *HistogramVec) TotalCount() uint64 {
-	v.f.mu.RLock()
-	defer v.f.mu.RUnlock()
-	var t uint64
-	for _, s := range v.f.series {
-		t += s.h.Count()
 	}
 	return t
 }

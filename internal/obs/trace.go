@@ -37,9 +37,6 @@ func NewTrace(id string) *Trace {
 	return &Trace{id: id, start: time.Now()}
 }
 
-// ID returns the trace's query ID.
-func (t *Trace) ID() string { return t.id }
-
 // Spans returns a copy of the finished spans, in End order.
 func (t *Trace) Spans() []SpanRecord {
 	t.mu.Lock()

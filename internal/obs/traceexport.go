@@ -42,23 +42,3 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 		"displayTimeUnit": "ms",
 	})
 }
-
-// Events renders the trace's finished spans as complete ("X") trace events
-// on one thread row, so a single request's stage trace can be exported in
-// the same format as a simulator round profile.
-func (t *Trace) Events(pid, tid int) []TraceEvent {
-	spans := t.Spans()
-	events := make([]TraceEvent, 0, len(spans))
-	for _, s := range spans {
-		events = append(events, TraceEvent{
-			Name: s.Name,
-			Cat:  "stage",
-			Ph:   "X",
-			TS:   s.StartMS * 1e3,
-			Dur:  s.DurMS * 1e3,
-			PID:  pid,
-			TID:  tid,
-		})
-	}
-	return events
-}

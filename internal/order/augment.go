@@ -14,21 +14,12 @@ import (
 // ("point toward the vertices you may be weakly reaching").
 //
 // Arcs are stored as flat per-vertex slices sorted by head vertex, so HasArc
-// is a binary search, Out returns the stored slice without allocating, and
-// the augmentation rounds merge whole arc batches in linear passes instead
+// is a binary search and the augmentation rounds merge whole arc batches in linear passes instead
 // of hammering per-vertex hash maps.
 type Digraph struct {
 	n   int
 	out [][]Arc // out[v] = arcs v→·, sorted by To, one arc per head
 }
-
-// NewDigraph returns an arcless digraph on n vertices.
-func NewDigraph(n int) *Digraph {
-	return &Digraph{n: n, out: make([][]Arc, n)}
-}
-
-// N returns the number of vertices.
-func (d *Digraph) N() int { return d.n }
 
 // arcIndex returns the position of head u in the sorted arc slice arcs, or
 // the insertion point if absent.
@@ -45,35 +36,12 @@ func arcIndex(arcs []Arc, u int) int {
 	return lo
 }
 
-// AddArc inserts the arc v→u with the given length, keeping the minimum
-// length if the arc already exists.  Self-arcs are ignored.
-func (d *Digraph) AddArc(v, u, length int) {
-	if v == u {
-		return
-	}
-	arcs := d.out[v]
-	i := arcIndex(arcs, u)
-	if i < len(arcs) && arcs[i].To == u {
-		if length < arcs[i].Length {
-			arcs[i].Length = length
-		}
-		return
-	}
-	arcs = append(arcs, Arc{})
-	copy(arcs[i+1:], arcs[i:])
-	arcs[i] = Arc{To: u, Length: length}
-	d.out[v] = arcs
-}
-
 // HasArc reports whether the arc v→u exists.
 func (d *Digraph) HasArc(v, u int) bool {
 	arcs := d.out[v]
 	i := arcIndex(arcs, u)
 	return i < len(arcs) && arcs[i].To == u
 }
-
-// OutDegree returns the out-degree of v.
-func (d *Digraph) OutDegree(v int) int { return len(d.out[v]) }
 
 // MaxOutDegree returns the maximum out-degree.
 func (d *Digraph) MaxOutDegree() int {
@@ -86,24 +54,16 @@ func (d *Digraph) MaxOutDegree() int {
 	return max
 }
 
-// Out returns the out-neighbors of v with arc lengths, sorted by vertex id.
-// The slice is owned by the digraph and must not be modified; it is valid
-// until the next mutation of v's arcs.
-func (d *Digraph) Out(v int) []Arc { return d.out[v] }
-
 // Arc is a directed arc endpoint with the length of the underlying path.
 type Arc struct {
 	To     int
 	Length int
 }
 
-// Underlying returns the underlying undirected graph of the digraph (arc
-// directions and lengths dropped, parallel arcs merged).  Arcs are appended
-// without membership probes; Finalize collapses the duplicates.
-func (d *Digraph) Underlying() *graph.Graph { return d.UnderlyingWorkers(0) }
-
-// UnderlyingWorkers is Underlying with an explicit worker bound for the
-// finalization passes (0 = GOMAXPROCS).
+// UnderlyingWorkers returns the underlying undirected graph of the digraph
+// (arc directions and lengths dropped, parallel arcs merged).  Arcs are
+// appended without membership probes; Finalize collapses the duplicates,
+// with the given worker bound for its passes (0 = GOMAXPROCS).
 func (d *Digraph) UnderlyingWorkers(workers int) *graph.Graph {
 	deg := make([]int32, d.n)
 	for v := 0; v < d.n; v++ {
@@ -171,7 +131,7 @@ type lenEdge struct {
 	u, v, length int32
 }
 
-// AugmentOnce performs one distance-truncated transitive–fraternal
+// AugmentOnceWorkers performs one distance-truncated transitive–fraternal
 // augmentation round on d, adding
 //
 //   - a transitive arc x→z of length ℓ₁+ℓ₂ for every pair of arcs x→y (ℓ₁)
@@ -183,15 +143,12 @@ type lenEdge struct {
 // oriented by a degeneracy ordering of the graph they form, which keeps the
 // out-degree growth bounded on bounded expansion classes (Nešetřil–Ossona de
 // Mendez, "Grad and classes with bounded expansion II").
-func (d *Digraph) AugmentOnce(maxLen int) AugmentationResult {
-	return d.AugmentOnceWorkers(maxLen, 0)
-}
-
-// AugmentOnceWorkers is AugmentOnce with the candidate-generation scan
-// fanned out over the given number of workers (0 = GOMAXPROCS).  The result
-// is identical for every worker count: workers scan contiguous vertex
-// blocks, their candidate lists are concatenated in block order (recovering
-// the sequential scan order exactly), and the arc merge is sequential.
+//
+// The candidate-generation scan is fanned out over the given number of
+// workers (0 = GOMAXPROCS).  The result is identical for every worker count:
+// workers scan contiguous vertex blocks, their candidate lists are
+// concatenated in block order (recovering the sequential scan order
+// exactly), and the arc merge is sequential.
 func (d *Digraph) AugmentOnceWorkers(maxLen, workers int) AugmentationResult {
 	var res AugmentationResult
 
@@ -334,9 +291,9 @@ func dedupEdges(edges []lenEdge) []lenEdge {
 }
 
 // applyArcs merges the candidate arcs into the digraph and returns how many
-// of them were new (counting each head once per tail, like sequential AddArc
-// application would).  Duplicate candidates collapse to their minimum
-// length; existing arcs keep the minimum of old and new length.
+// of them were new (counting each head once per tail).  Duplicate
+// candidates collapse to their minimum length; existing arcs keep the
+// minimum of old and new length.
 func (d *Digraph) applyArcs(edges []lenEdge, workers int) (added int) {
 	return d.applyArcParts([][]lenEdge{edges}, workers)
 }
@@ -451,15 +408,11 @@ func mergeArcsInto(dst []Arc, old []Arc, news []lenEdge) ([]Arc, int) {
 	return dst, added
 }
 
-// TFAugmentation runs `depth` augmentation rounds with the given length cap
-// and returns the augmented digraph together with the per-round results.
-func TFAugmentation(g *graph.Graph, depth, maxLen int) (*Digraph, []AugmentationResult) {
-	return TFAugmentationWorkers(g, depth, maxLen, 0)
-}
-
-// TFAugmentationWorkers is TFAugmentation with the per-round scan fanned out
-// over the given number of workers (0 = GOMAXPROCS); the augmented digraph
-// is identical for every worker count.
+// TFAugmentationWorkers runs `depth` augmentation rounds with the given
+// length cap on the degeneracy orientation of g and returns the augmented
+// digraph together with the per-round results.  Each round's scan is fanned
+// out over the given number of workers (0 = GOMAXPROCS); the augmented
+// digraph is identical for every worker count.
 func TFAugmentationWorkers(g *graph.Graph, depth, maxLen, workers int) (*Digraph, []AugmentationResult) {
 	base, _ := FromDegeneracy(g)
 	d := OrientByOrder(g, base)

@@ -45,22 +45,6 @@ func FromPermutation(perm []int) (*Order, error) {
 	return &Order{perm: append([]int(nil), perm...), pos: pos}, nil
 }
 
-// FromPositions builds an Order from pos, where pos[v] is the position of
-// vertex v.
-func FromPositions(pos []int) (*Order, error) {
-	n := len(pos)
-	perm := make([]int, n)
-	seen := make([]bool, n)
-	for v, p := range pos {
-		if p < 0 || p >= n || seen[p] {
-			return nil, fmt.Errorf("%w: bad entry pos[%d]=%d", ErrInvalidOrder, v, p)
-		}
-		seen[p] = true
-		perm[p] = v
-	}
-	return &Order{perm: perm, pos: append([]int(nil), pos...)}, nil
-}
-
 // Identity returns the order in which vertex v has position v.
 func Identity(n int) *Order {
 	perm := make([]int, n)
@@ -71,34 +55,14 @@ func Identity(n int) *Order {
 	return o
 }
 
-// N returns the number of ordered vertices.
-func (o *Order) N() int { return len(o.perm) }
-
-// Pos returns the position of vertex v (0 is least).
-func (o *Order) Pos(v int) int { return o.pos[v] }
-
 // At returns the vertex at position i.
 func (o *Order) At(i int) int { return o.perm[i] }
 
 // Less reports whether u <_L v.
 func (o *Order) Less(u, v int) bool { return o.pos[u] < o.pos[v] }
 
-// Min returns the L-minimum of a non-empty set of vertices.
-func (o *Order) Min(verts []int) int {
-	best := verts[0]
-	for _, v := range verts[1:] {
-		if o.pos[v] < o.pos[best] {
-			best = v
-		}
-	}
-	return best
-}
-
 // Positions returns a copy of the vertex → position array.
 func (o *Order) Positions() []int { return append([]int(nil), o.pos...) }
-
-// Permutation returns a copy of the position → vertex array.
-func (o *Order) Permutation() []int { return append([]int(nil), o.perm...) }
 
 // FromDegeneracy returns the order induced by a degeneracy (Matula–Beck)
 // ordering of g, arranged so that every vertex has at most degeneracy(g)

@@ -1,6 +1,8 @@
 package order
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,26 +15,20 @@ func TestFromPermutationAndPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.At(0) != 2 || o.Pos(2) != 0 || o.Pos(1) != 2 {
-		t.Fatalf("positions wrong: %v / %v", o.Permutation(), o.Positions())
+	if o.At(0) != 2 || o.pos[2] != 0 || o.pos[1] != 2 {
+		t.Fatalf("positions wrong: %v / %v", o.perm, o.Positions())
 	}
 	if !o.Less(2, 0) || o.Less(1, 0) {
 		t.Fatal("Less wrong")
 	}
-	if o.Min([]int{0, 1, 2}) != 2 {
-		t.Fatal("Min wrong")
+	pos := o.Positions()
+	if len(pos) != 3 {
+		t.Fatalf("Positions() = %v", pos)
 	}
-	o2, err := FromPositions(o.Positions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 3; v++ {
-		if o2.Pos(v) != o.Pos(v) {
-			t.Fatal("FromPositions does not round-trip")
+	for v := range pos {
+		if o.At(pos[v]) != v {
+			t.Fatal("Positions is not the inverse of the permutation")
 		}
-	}
-	if o.N() != 3 {
-		t.Fatalf("N=%d", o.N())
 	}
 }
 
@@ -43,18 +39,15 @@ func TestOrderValidation(t *testing.T) {
 	if _, err := FromPermutation([]int{0, 3, 1}); err == nil {
 		t.Fatal("out of range accepted")
 	}
-	if _, err := FromPositions([]int{1, 1, 0}); err == nil {
-		t.Fatal("duplicate position accepted")
-	}
-	if _, err := FromPositions([]int{-1, 1, 0}); err == nil {
-		t.Fatal("negative position accepted")
+	if _, err := FromPermutation([]int{-1, 1, 0}); err == nil {
+		t.Fatal("negative entry accepted")
 	}
 }
 
 func TestIdentity(t *testing.T) {
 	o := Identity(5)
 	for v := 0; v < 5; v++ {
-		if o.Pos(v) != v || o.At(v) != v {
+		if o.pos[v] != v || o.At(v) != v {
 			t.Fatal("identity order wrong")
 		}
 	}
@@ -95,7 +88,7 @@ func TestWReachAgainstBruteForce(t *testing.T) {
 			o, _ := FromDegeneracy(g)
 			sets := WReachSets(g, o, r)
 			for v := 0; v < g.N(); v++ {
-				want := WReachBruteForce(g, o, r, v)
+				want := wreachBruteForce(g, o, r, v)
 				got := sets[v]
 				if len(got) != len(want) {
 					t.Fatalf("%s r=%d v=%d: got %v want %v", name, r, v, got, want)
@@ -160,12 +153,11 @@ func TestWColMeasureKnownValues(t *testing.T) {
 func TestWColStatsAndMinWReach(t *testing.T) {
 	g := gen.Grid(8, 8)
 	o := ConstructDefault(g, 1)
-	max, avg := WColStats(g, o, 2)
-	if max < 1 || avg < 1 || avg > float64(max) {
-		t.Fatalf("stats max=%d avg=%f", max, avg)
-	}
 	mins := MinWReach(g, o, 2)
 	sets := WReachSets(g, o, 2)
+	if w := WColOfSets(sets); w < 1 || w != WColMeasure(g, o, 2) {
+		t.Fatalf("wcol of sets %d, measured %d", w, WColMeasure(g, o, 2))
+	}
 	for v := range mins {
 		if mins[v] != sets[v][0] {
 			t.Fatalf("MinWReach mismatch at %d", v)
@@ -177,30 +169,27 @@ func TestWColStatsAndMinWReach(t *testing.T) {
 }
 
 func TestDigraphBasics(t *testing.T) {
-	d := NewDigraph(4)
-	d.AddArc(3, 1, 1)
-	d.AddArc(3, 1, 5) // longer duplicate must not overwrite
-	d.AddArc(3, 2, 2)
-	d.AddArc(1, 0, 1)
-	d.AddArc(2, 2, 1) // self arc ignored
-	if d.N() != 4 || !d.HasArc(3, 1) || d.HasArc(1, 3) {
+	// Identity order: every edge points to its smaller endpoint.
+	g := graph.MustFromEdges(4, [][2]int{{3, 1}, {3, 2}, {1, 0}, {2, 1}})
+	d := OrientByOrder(g, Identity(4))
+	if d.n != 4 || !d.HasArc(3, 1) || d.HasArc(1, 3) || !d.HasArc(2, 1) {
 		t.Fatal("arc bookkeeping wrong")
 	}
-	if d.OutDegree(3) != 2 || d.MaxOutDegree() != 2 {
+	if len(d.out[3]) != 2 || d.MaxOutDegree() != 2 {
 		t.Fatal("degrees wrong")
 	}
-	out := d.Out(3)
-	if len(out) != 2 || out[0].To != 1 || out[0].Length != 1 {
-		t.Fatalf("Out(3) = %v", out)
+	if out := d.out[3]; out[0] != (Arc{To: 1, Length: 1}) || out[1] != (Arc{To: 2, Length: 1}) {
+		t.Fatalf("out[3] = %v", out)
 	}
-	u := d.Underlying()
-	if u.M() != 3 || !u.HasEdge(1, 3) {
+	u := d.UnderlyingWorkers(1)
+	if u.M() != 4 || !u.HasEdge(1, 3) {
 		t.Fatalf("underlying graph wrong: %v", u)
 	}
-	// Shorter arc replaces longer one.
-	d.AddArc(3, 2, 1)
-	if d.Out(3)[1].Length != 1 {
-		t.Fatal("shorter arc did not replace longer")
+	// 3→2→1 rediscovers 3→1 at length 2: the shorter arc must survive,
+	// while 3→1→0 adds 3→0 at length 2.
+	d.AugmentOnceWorkers(2, 1)
+	if want := []Arc{{To: 0, Length: 2}, {To: 1, Length: 1}, {To: 2, Length: 1}}; !slices.Equal(d.out[3], want) {
+		t.Fatalf("out[3] after augmentation = %v, want %v", d.out[3], want)
 	}
 }
 
@@ -209,7 +198,7 @@ func TestOrientByOrder(t *testing.T) {
 	o := Identity(6)
 	d := OrientByOrder(g, o)
 	for v := 0; v < 6; v++ {
-		for _, a := range d.Out(v) {
+		for _, a := range d.out[v] {
 			if !o.Less(a.To, v) {
 				t.Fatalf("arc %d→%d points to a larger vertex", v, a.To)
 			}
@@ -217,7 +206,7 @@ func TestOrientByOrder(t *testing.T) {
 	}
 	total := 0
 	for v := 0; v < 6; v++ {
-		total += d.OutDegree(v)
+		total += len(d.out[v])
 	}
 	if total != g.M() {
 		t.Fatalf("orientation lost edges: %d arcs vs %d edges", total, g.M())
@@ -230,7 +219,7 @@ func TestAugmentOnceAddsShortcuts(t *testing.T) {
 	g := gen.Path(3)
 	o := Identity(3)
 	d := OrientByOrder(g, o)
-	res := d.AugmentOnce(4)
+	res := d.AugmentOnceWorkers(4, 0)
 	if !d.HasArc(2, 0) {
 		t.Fatal("transitive arc 2→0 missing")
 	}
@@ -241,7 +230,7 @@ func TestAugmentOnceAddsShortcuts(t *testing.T) {
 	// two out-arcs, so no fraternal edges may appear.
 	star := gen.Star(4)
 	sd := OrientByOrder(star, Identity(4))
-	if sres := sd.AugmentOnce(4); sres.FraternalEdges != 0 {
+	if sres := sd.AugmentOnceWorkers(4, 0); sres.FraternalEdges != 0 {
 		t.Fatalf("star with center least should add no fraternal edges, got %d", sres.FraternalEdges)
 	}
 	// Star with the center *largest*: the center points to all leaves, so the
@@ -251,7 +240,7 @@ func TestAugmentOnceAddsShortcuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := OrientByOrder(star, rev)
-	rres := rd.AugmentOnce(4)
+	rres := rd.AugmentOnceWorkers(4, 0)
 	if rres.FraternalEdges != 3 {
 		t.Fatalf("expected 3 fraternal edges among star leaves, got %d", rres.FraternalEdges)
 	}
@@ -264,9 +253,9 @@ func TestAugmentRespectsLengthCap(t *testing.T) {
 	g := gen.Path(6)
 	o := Identity(6)
 	d := OrientByOrder(g, o)
-	d.AugmentOnce(1) // cap 1: nothing may be added
+	d.AugmentOnceWorkers(1, 0) // cap 1: nothing may be added
 	for v := 0; v < 6; v++ {
-		for _, a := range d.Out(v) {
+		for _, a := range d.out[v] {
 			if a.Length > 1 {
 				t.Fatalf("arc %d→%d length %d violates cap", v, a.To, a.Length)
 			}
@@ -285,7 +274,7 @@ func TestTFAugmentationKeepsOutDegreeModest(t *testing.T) {
 		{"outerplanar", gen.Outerplanar(150, 4), 30},
 		{"tree", gen.RandomTree(150, 5), 20},
 	} {
-		d, rounds := TFAugmentation(tc.g, 2, 5)
+		d, rounds := TFAugmentationWorkers(tc.g, 2, 5, 0)
 		if len(rounds) != 2 {
 			t.Fatalf("%s: expected 2 rounds", tc.name)
 		}
@@ -322,7 +311,7 @@ func TestConstructDepthZeroIsDegeneracy(t *testing.T) {
 		t.Fatalf("depth-0 max out-degree %d want %d", res.MaxOutDegree, k)
 	}
 	for v := 0; v < g.N(); v++ {
-		if res.Order.Pos(v) != o2.Pos(v) {
+		if res.Order.pos[v] != o2.pos[v] {
 			t.Fatal("depth-0 construct should equal the degeneracy order")
 		}
 	}
@@ -331,29 +320,8 @@ func TestConstructDepthZeroIsDegeneracy(t *testing.T) {
 func TestConstructNormalisesOptions(t *testing.T) {
 	g := gen.Path(10)
 	res := Construct(g, Options{Radius: 0, AugmentationDepth: -1, MaxArcLength: -5})
-	if res.Order == nil || res.Order.N() != 10 {
+	if res.Order == nil || len(res.Order.perm) != 10 {
 		t.Fatal("construct with degenerate options failed")
-	}
-}
-
-func TestBFSLayeredOrder(t *testing.T) {
-	g := gen.Grid(6, 6)
-	o := BFSLayered(g, 0)
-	layers := g.BFSDistances(0)
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if layers[u] < layers[v] && !o.Less(u, v) {
-			t.Fatalf("layered order violates layers at edge %v", e)
-		}
-	}
-	// Disconnected graph: unreachable vertices must still be ordered.
-	h := graph.MustFromEdges(5, [][2]int{{0, 1}, {2, 3}})
-	oh := BFSLayered(h, 0)
-	if oh.N() != 5 {
-		t.Fatal("layered order lost vertices")
-	}
-	if !oh.Less(1, 2) {
-		t.Fatal("unreachable vertices should be last")
 	}
 }
 
@@ -369,4 +337,53 @@ func TestWcolEnvelopeQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wreachBruteForce computes WReach_r[G, L, w] for a single vertex w by
+// enumerating all paths of length at most r starting at w.  Exponential in
+// r·Δ; intended only for cross-validation in tests on small graphs.
+func wreachBruteForce(g *graph.Graph, o *Order, r, w int) []int {
+	found := map[int]bool{w: true}
+	// DFS over paths from w of length ≤ r; a vertex u is weakly reachable if
+	// some path reaches it with u strictly smaller than every other path
+	// vertex.
+	path := []int{w}
+	onPath := map[int]bool{w: true}
+	var dfs func(cur, depth int)
+	record := func() {
+		last := path[len(path)-1]
+		minV := path[0]
+		for _, x := range path {
+			if o.Less(x, minV) {
+				minV = x
+			}
+		}
+		if minV == last {
+			found[last] = true
+		}
+	}
+	dfs = func(cur, depth int) {
+		record()
+		if depth == r {
+			return
+		}
+		for _, nb := range g.Neighbors(cur) {
+			u := int(nb)
+			if onPath[u] {
+				continue
+			}
+			onPath[u] = true
+			path = append(path, u)
+			dfs(u, depth+1)
+			path = path[:len(path)-1]
+			delete(onPath, u)
+		}
+	}
+	dfs(w, 0)
+	out := make([]int, 0, len(found))
+	for v := range found {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(a, b int) bool { return o.Less(out[a], out[b]) })
+	return out
 }

@@ -53,7 +53,7 @@ func TestConstructWorkersDeterminism(t *testing.T) {
 				base = res
 				continue
 			}
-			if !reflect.DeepEqual(base.Order.Permutation(), res.Order.Permutation()) {
+			if !reflect.DeepEqual(base.Order.perm, res.Order.perm) {
 				t.Fatalf("%s: constructed orders differ between %d and %d workers",
 					name, determinismWorkerCounts[0], workers)
 			}
@@ -79,8 +79,8 @@ func TestAugmentOnceWorkersDeterminism(t *testing.T) {
 		if res != wantRes {
 			t.Fatalf("round stats differ at %d workers: %+v vs %+v", workers, res, wantRes)
 		}
-		for v := 0; v < d.N(); v++ {
-			if !reflect.DeepEqual(want.Out(v), d.Out(v)) {
+		for v := 0; v < d.n; v++ {
+			if !reflect.DeepEqual(want.out[v], d.out[v]) {
 				t.Fatalf("arcs of %d differ at %d workers", v, workers)
 			}
 		}

@@ -1,10 +1,6 @@
 package order
 
-import (
-	"sort"
-
-	"bedom/internal/graph"
-)
+import "bedom/internal/graph"
 
 // WReachSets computes, for every vertex w, the weak r-reachability set
 // WReach_r[G, L, w] = { u ≤_L w : there is a path of length ≤ r from w to u
@@ -184,23 +180,6 @@ func WColOfSets(sets [][]int) int {
 	return max
 }
 
-// WColStats returns the maximum and average size of the weak r-reachability
-// sets under o.
-func WColStats(g *graph.Graph, o *Order, r int) (max int, avg float64) {
-	sets := WReachSets(g, o, r)
-	total := 0
-	for _, s := range sets {
-		total += len(s)
-		if len(s) > max {
-			max = len(s)
-		}
-	}
-	if len(sets) > 0 {
-		avg = float64(total) / float64(len(sets))
-	}
-	return max, avg
-}
-
 // MinWReach returns, for every vertex w, the L-minimum element of
 // WReach_r[G, L, w].  This is exactly the dominator election rule of
 // Theorem 5 / Theorem 9 of the paper.
@@ -211,53 +190,4 @@ func MinWReach(g *graph.Graph, o *Order, r int) []int {
 		mins[v] = s[0] // sets are sorted by L-position
 	}
 	return mins
-}
-
-// WReachBruteForce computes WReach_r[G, L, w] for a single vertex w by
-// enumerating all paths of length at most r starting at w.  Exponential in
-// r·Δ; intended only for cross-validation in tests on small graphs.
-func WReachBruteForce(g *graph.Graph, o *Order, r, w int) []int {
-	found := map[int]bool{w: true}
-	// DFS over paths from w of length ≤ r; a vertex u is weakly reachable if
-	// some path reaches it with u strictly smaller than every other path
-	// vertex.
-	path := []int{w}
-	onPath := map[int]bool{w: true}
-	var dfs func(cur, depth int)
-	record := func() {
-		last := path[len(path)-1]
-		minV := path[0]
-		for _, x := range path {
-			if o.Less(x, minV) {
-				minV = x
-			}
-		}
-		if minV == last {
-			found[last] = true
-		}
-	}
-	dfs = func(cur, depth int) {
-		record()
-		if depth == r {
-			return
-		}
-		for _, nb := range g.Neighbors(cur) {
-			u := int(nb)
-			if onPath[u] {
-				continue
-			}
-			onPath[u] = true
-			path = append(path, u)
-			dfs(u, depth+1)
-			path = path[:len(path)-1]
-			delete(onPath, u)
-		}
-	}
-	dfs(w, 0)
-	out := make([]int, 0, len(found))
-	for v := range found {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return o.Less(out[a], out[b]) })
-	return out
 }

@@ -15,9 +15,6 @@ func MmapSupported() bool { return false }
 // Mapping is a stub on platforms without the zero-copy path.
 type Mapping struct{}
 
-// Path returns the snapshot file the mapping was opened from.
-func (m *Mapping) Path() string { return "" }
-
 // Size returns the mapped length in bytes.
 func (m *Mapping) Size() int64 { return 0 }
 

@@ -29,12 +29,8 @@ func MmapSupported() bool { return true }
 // open for the graph's whole lifetime (the Store does this for everything it
 // maps during recovery; see ReleaseMappings for the ordering rules).
 type Mapping struct {
-	path string
 	data []byte
 }
-
-// Path returns the snapshot file the mapping was opened from.
-func (m *Mapping) Path() string { return m.path }
 
 // Size returns the mapped length in bytes.
 func (m *Mapping) Size() int64 { return int64(len(m.data)) }
@@ -92,7 +88,7 @@ func OpenMmapSnapshot(path string) (SnapshotMeta, *graph.Graph, *Mapping, error)
 		_ = syscall.Munmap(data)
 		return meta, nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return meta, g, &Mapping{path: path, data: data}, nil
+	return meta, g, &Mapping{data: data}, nil
 }
 
 // castInt32LE reinterprets a little-endian byte payload as []int32 in place.

@@ -200,8 +200,8 @@ func TestOpenMmapSnapshotEquivalence(t *testing.T) {
 		t.Fatalf("meta: got %+v, want %+v", gotMeta, meta)
 	}
 	assertBitIdentical(t, g, mg)
-	if mapping.Size() == 0 || mapping.Path() != path {
-		t.Fatalf("mapping bookkeeping: size %d, path %q", mapping.Size(), mapping.Path())
+	if mapping.Size() == 0 {
+		t.Fatal("mapping bookkeeping: size 0")
 	}
 }
 
